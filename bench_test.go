@@ -362,36 +362,6 @@ func BenchmarkParallelScan(b *testing.B) {
 	})
 }
 
-// BenchmarkCompactEngine contrasts the engine's sorted sparse-row UC
-// layout with the flattened CompactEngine ablation on construction time,
-// selection time, and resident memory. Entries are equal by construction.
-// (The map-of-maps layout that both engines replaced measured 8.28
-// resident-MiB on this configuration — ~81 bytes per entry across the
-// mirrored hash tables — versus 6.01 MiB for the sorted rows and 4.00
-// MiB for the flattened layout's permutation-indexed slices.)
-func BenchmarkCompactEngine(b *testing.B) {
-	env := benchFlixsterEnv()
-	credit := core.LearnTimeAware(env.Graph, env.Train)
-	b.Run("sorted", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: 0.001, Credit: credit})
-			res := seedsel.CELF(e, 10)
-			b.ReportMetric(float64(e.Entries()), "entries")
-			b.ReportMetric(float64(e.ResidentBytes())/(1<<20), "resident-MiB")
-			b.ReportMetric(res.Spread(), "spread")
-		}
-	})
-	b.Run("compact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := core.NewCompactEngine(env.Graph, env.Train, core.Options{Lambda: 0.001, Credit: credit})
-			res := seedsel.CELF(e, 10)
-			b.ReportMetric(float64(e.Entries()), "entries")
-			b.ReportMetric(float64(e.ResidentBytes())/(1<<20), "resident-MiB")
-			b.ReportMetric(res.Spread(), "spread")
-		}
-	})
-}
-
 // BenchmarkAppendVsRescan is the streaming-ingest headline: extending an
 // engine with a 5% held-out action tail (Clone sharing the frozen base +
 // AppendActions scanning only the tail) versus the full rescan a naive
@@ -906,6 +876,35 @@ func TestWritePartitionBenchJSON(t *testing.T) {
 	}
 	t.Logf("partitioned spread: 1 partition %.2f ms, 4 partitions %.2f ms (%.2fx), spread %.4f -> %s",
 		float64(oneNs)/1e6, float64(fourNs)/1e6, rec.Speedup, s1, out)
+}
+
+// BenchmarkGainsOneBase prices a batch of candidates against a one-seed
+// base on the full flixster-small preset (Model.Gains: clone the frozen
+// base planner, commit the base seed, price every candidate), once with a
+// non-hub base and once with the hub. Run with -benchmem: the commit's
+// allocations are what copy-free seed commits cut.
+func BenchmarkGainsOneBase(b *testing.B) {
+	ds, err := GeneratePreset("flixster-small")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := Learn(ds, Options{Lambda: 0.001})
+	nonHub, hub := oneBaseSeeds(m)
+	cands := make([]NodeID, 16)
+	for i := range cands {
+		cands[i] = NodeID(i * ds.NumUsers() / len(cands))
+	}
+	for _, bc := range []struct {
+		name string
+		base NodeID
+	}{{"non-hub", nonHub}, {"hub", hub}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				m.Gains([]NodeID{bc.base}, cands)
+			}
+		})
+	}
 }
 
 // BenchmarkUCFlixsterSmall measures the UC store on the full

@@ -26,11 +26,14 @@ import (
 //
 // Shards split into a frozen base and a mutable delta. Because credits
 // never cross actions, an engine can grow by scanning only new actions
-// (AppendActions) while the already-scanned shards stay untouched, and
-// sibling engines (Clone) share frozen shards instead of copying them:
-// Add copies a shard on first write (copy-on-write), so the shared base is
-// never mutated. Compact folds the delta into the base, re-freezing the
-// engine so future clones are cheap again.
+// (AppendActions) while the already-scanned shards stay untouched. Rows
+// installed in an engine are never written: Add replaces the rows it
+// changes with rebuilt ones, and the column mirror is a read-only superset
+// that only commits read (sparse.go). Sibling engines (Clone) therefore
+// share every row and column; copy-on-write copies only a touched shard's
+// outer row slices, so the shared base is never mutated. Compact folds the
+// delta into the base, re-freezing the engine so future clones are cheap
+// again.
 type Engine struct {
 	numUsers int
 	// au and actionsOf are mutated in place only while ownsUsers is true
@@ -43,12 +46,13 @@ type Engine struct {
 
 	// uc[a] points at action a's shard through the rowStore interface
 	// (rowstore.go): a heap ucAction, or a read-only window into a mapped
-	// version-3 snapshot. owned[a] reports whether this engine may mutate
-	// the shard in place — owned shards are always heap; unowned shards
-	// are shared with sibling engines (or the mapping) and are promoted to
-	// a private heap copy by mutShard before the first write. Delta shards
-	// (indices >= baseActions) are always heap: they come only from this
-	// process's own scans.
+	// version-3 snapshot. owned[a] reports whether this engine may write
+	// the shard's outer rowKey/rows slices — owned shards are always heap;
+	// unowned shards are shared with sibling engines (or the mapping) and
+	// mutShard promotes them to private outer slices over the same rows
+	// before the first commit. Rows and columns are never written by
+	// anyone once installed. Delta shards (indices >= baseActions) are
+	// always heap: they come only from this process's own scans.
 	uc    []rowStore
 	owned []bool
 
@@ -87,8 +91,9 @@ type Options struct {
 }
 
 // NewEngine scans the training log and returns a ready engine. The fresh
-// engine owns every shard, so seed selection mutates in place with no
-// copy-on-write cost; call Compact to freeze it for cheap cloning.
+// engine owns every shard, so seed selection rewrites outer row slices in
+// place with no copy-on-write cost; call Compact to freeze it for cheap
+// cloning.
 func NewEngine(g *graph.Graph, train *actionlog.Log, opts Options) *Engine {
 	model := opts.Credit
 	if model == nil {
@@ -330,9 +335,10 @@ func (e *Engine) mutUsers(newNumUsers int) {
 }
 
 // Compact folds the delta into the base and freezes the engine: every
-// shard this engine owns is re-allocated at exact size (shedding the
-// growth slack the incremental scan left) and released to shared status,
-// so subsequent Clones copy nothing and Add falls back to copy-on-write.
+// shard this engine owns is deep-copied at exact size (shedding the
+// growth slack the incremental scan left, and row blocks that commits
+// kept alive) and released to shared status, so subsequent Clones copy
+// nothing and Add falls back to copy-on-write of outer slices.
 // The delta counters reset; results are unchanged. Compact must not run
 // concurrently with readers of the same engine.
 func (e *Engine) Compact() {
@@ -343,7 +349,7 @@ func (e *Engine) Compact() {
 	// old base, they stay shared windows into the snapshot file.
 	for a := range e.uc {
 		if e.owned[a] || a >= e.baseActions {
-			e.uc[a] = e.uc[a].promote()
+			e.uc[a] = cloneShard(e.uc[a].(*ucAction))
 			e.owned[a] = false
 		}
 	}
@@ -359,10 +365,11 @@ func (e *Engine) Compact() {
 // produces bit-for-bit the floats the original would have produced. Frozen
 // (unowned) shards and the read-only per-user state are shared, so cloning
 // a compacted engine costs an outer-slice copy — microseconds — while
-// shards the receiver still owns (its delta, or shards it already mutated)
-// are deep-copied. This is what lets a serving layer keep one scanned
-// engine per model snapshot and hand mutable copies to concurrent
-// seed-selection requests.
+// shards the receiver still owns (its delta, or shards it already
+// committed to) get private outer row slices over the same rows and
+// columns, which no one writes. This is what lets a serving layer keep
+// one scanned engine per model snapshot and hand mutable copies to
+// concurrent seed-selection requests.
 func (e *Engine) Clone() *Engine {
 	c := &Engine{
 		numUsers:     e.numUsers,
@@ -380,9 +387,9 @@ func (e *Engine) Clone() *Engine {
 		partLo:       e.partLo,
 		partHi:       e.partHi,
 	}
-	// Shards the receiver owns may be mutated by its future Adds or
-	// compacted away, so the clone takes private copies; shared shards are
-	// frozen and stay shared.
+	// The receiver's future Adds rewrite the outer slices of shards it
+	// owns, so the clone takes its own; shared shards are frozen and stay
+	// shared.
 	for a, own := range c.owned {
 		if own {
 			c.uc[a] = c.uc[a].promote()
@@ -409,11 +416,12 @@ func (e *Engine) Clone() *Engine {
 	return c
 }
 
-// mutShard returns action a's shard ready for in-place mutation, promoting
-// it to a private heap copy first when it is shared with sibling engines
-// (copy-on-write) or backed by a mapped snapshot (promote-on-first-write;
-// the mapping itself is never touched). Owned shards are heap by
-// construction, so the assertion below cannot fail.
+// mutShard returns action a's shard ready for a commit, promoting it to
+// private outer row slices first when it is shared with sibling engines
+// (copy-on-write) or backed by a mapped snapshot (promote-on-first-commit).
+// Either way the rows and columns stay shared: commits replace rows, they
+// never write them. Owned shards are heap by construction, so the
+// assertion below cannot fail.
 func (e *Engine) mutShard(a int32) *ucAction {
 	if !e.owned[a] {
 		e.uc[a] = e.uc[a].promote()
@@ -543,9 +551,10 @@ func (e *Engine) Gain(x graph.NodeID) float64 {
 // Lemma 2 removes from every credit the share flowing through x, and
 // Lemma 3 raises Gamma_{S,u}(a) for every u that x has credit over.
 // Finally x's row and column are removed, matching the V-S superscript
-// semantics of Theorem 3. Both walks follow sorted id order. Shards
-// shared with sibling engines are copied before the first write, so Add
-// never disturbs a clone or the frozen base of a serving snapshot.
+// semantics of Theorem 3. Both walks follow sorted id order. Changed rows
+// are rebuilt, never edited, and a shared shard's outer slices are copied
+// before the first commit, so Add never disturbs a clone or the frozen
+// base of a serving snapshot.
 //
 // Add is exactly CommitSeedRow driven by the engine's own row
 // (partition.go), which is what makes a scatter-gather commit across
@@ -566,8 +575,9 @@ func (e *Engine) ResidentBytes() int64 {
 
 // HeapBytes reports the Go-heap slice footprint of the UC structure
 // (16 bytes per row entry plus the column mirror and slice headers; see
-// ucAction.residentBytes). Shards served from a mapped snapshot contribute
-// nothing here — their pages are file-backed, not heap.
+// ucAction.heapBytes). Cells served from a mapped snapshot contribute
+// nothing here — their pages are file-backed, not heap — even in shards a
+// commit promoted.
 func (e *Engine) HeapBytes() int64 {
 	var bytes int64
 	for _, st := range e.uc {
@@ -578,7 +588,8 @@ func (e *Engine) HeapBytes() int64 {
 
 // MappedBytes reports the file-backed footprint of the UC structure: the
 // bytes of the mapped snapshot's base section this engine's shards still
-// alias (shards promoted to heap by a write no longer count). The OS pages
+// alias (a shard promoted by a commit counts only the rows it did not
+// replace, not its row directory). The OS pages
 // these in and out on demand, so this is an upper bound on their resident
 // cost.
 func (e *Engine) MappedBytes() int64 {

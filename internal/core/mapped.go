@@ -59,9 +59,9 @@ func mappedAliasSupported() bool {
 
 // mappedShard is a read-only rowStore over one action's block of a mapped
 // version-3 snapshot. dir and entries alias the mapping directly; the
-// first write to the shard goes through promote, which assembles a
-// private heap ucAction (column mirror included) and leaves the mapping
-// untouched for every sibling engine.
+// first commit to the shard goes through promote, which builds heap outer
+// slices and a column mirror over the same mapped rows. Nothing ever
+// writes the mapping, so every sibling engine keeps reading it.
 type mappedShard struct {
 	numUsers int
 	dir      []mdirEntry
@@ -76,7 +76,8 @@ func (ms *mappedShard) rowKeyAt(ri int) int32 { return ms.dir[ri].key }
 func (ms *mappedShard) rowAt(ri int) []ucEntry {
 	d := ms.dir[ri]
 	start := (d.off - ms.first) / 16
-	return ms.entries[start : start+uint64(d.count)]
+	end := start + uint64(d.count)
+	return ms.entries[start:end:end]
 }
 
 func (ms *mappedShard) row(v int32) []ucEntry {
@@ -104,23 +105,22 @@ func (ms *mappedShard) mappedBytes() int64 {
 }
 func (ms *mappedShard) backendName() string { return "mmap" }
 
-// promote decodes the mapped block into a private heap ucAction and
-// rebuilds its column mirror — the promote-on-first-write step behind
-// Engine.mutShard. Sibling engines (and later clones of this one) keep
-// reading the untouched mapping.
+// promote returns a heap shard over the mapped block — the
+// promote-on-first-commit step behind Engine.mutShard. Only the outer
+// rowKey/rows slices and the column mirror are built on the heap; every
+// row stays a read-only view into the PROT_READ mapping (commits never
+// write installed rows, they replace them), so no cell is decoded or
+// copied. Sibling engines keep reading the same mapping.
 func (ms *mappedShard) promote() *ucAction {
-	rowKey := make([]int32, len(ms.dir))
-	flat := make([]ucEntry, len(ms.entries))
-	copy(flat, ms.entries)
-	rows := make([][]ucEntry, len(ms.dir))
-	off := 0
-	for i, d := range ms.dir {
-		rowKey[i] = d.key
-		n := int(d.count)
-		rows[i] = flat[off : off+n : off+n]
-		off += n
+	ua := &ucAction{
+		rowKey: make([]int32, len(ms.dir)),
+		rows:   make([][]ucEntry, len(ms.dir)),
+		view:   ms.entries,
 	}
-	ua := &ucAction{rowKey: rowKey, rows: rows}
+	for i, d := range ms.dir {
+		ua.rowKey[i] = d.key
+		ua.rows[i] = ms.rowAt(i)
+	}
 	buildColumnsSorted(ua)
 	return ua
 }
@@ -325,9 +325,9 @@ func (m *MappedSnapshot) Backend() string {
 // structurally validated in full, and then every shard is an in-place
 // window into the mapping — no cell is parsed, no row allocated. The
 // returned engine behaves exactly like one from ReadSnapshotPrefix
-// (frozen, no committed seeds, bit-identical Gain/Spread/CELF); writes
-// promote individual shards to heap copy-on-write, leaving the mapping
-// shared and untouched. The engine is only valid while the returned
+// (frozen, no committed seeds, bit-identical Gain/Spread/CELF); a commit
+// promotes each shard it touches to heap outer slices over the same
+// mapped rows, leaving the mapping shared and untouched. The engine is only valid while the returned
 // MappedSnapshot stays open.
 //
 // Version-1/2 files have no mapped-addressable base section and are

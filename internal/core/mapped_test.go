@@ -313,3 +313,56 @@ func TestMappedEngineSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("snapshot written from a mapped engine is not byte-identical to its source file")
 	}
 }
+
+// TestResidentBytesAccounting keeps the footprint figures honest: the heap
+// engine reports at least its cells, compacting it (exact-size deep copy)
+// never grows it, a mapped engine counts its cells as mapped rather than
+// heap, and a commit's promotion moves footprint heapward while the rows
+// it did not replace stay counted as mapped.
+func TestResidentBytesAccounting(t *testing.T) {
+	rng := rand.New(rand.NewPCG(55, 5))
+	g, log := randomInstance(rng, 40, 20)
+	rows := NewEngine(g, log, Options{})
+	n := rows.Entries()
+	if n == 0 {
+		t.Fatal("empty instance")
+	}
+	// Lower bound: every live entry occupies at least its cell.
+	if rows.ResidentBytes() < n*16 {
+		t.Errorf("row engine reports %d bytes for %d entries", rows.ResidentBytes(), n)
+	}
+	before := rows.ResidentBytes()
+	rows.Compact()
+	if rows.ResidentBytes() > before {
+		t.Errorf("Compact grew residency: %d -> %d", before, rows.ResidentBytes())
+	}
+
+	lin := DatasetLineage("resident", g, log)
+	mapped, _, _, ms := openMapped(t, writeSnapshotFile(t, rows, lin, nil))
+	if ms.Backend() != "mmap" {
+		return
+	}
+	if mapped.HeapBytes() != 0 {
+		t.Errorf("mapped engine counts %d heap bytes for file-backed cells", mapped.HeapBytes())
+	}
+	// Every live cell and its 16-byte directory record live in the
+	// mapping, bounded above by the whole file.
+	if mb := mapped.MappedBytes(); mb < n*16 || mb > ms.MappedBytes() {
+		t.Errorf("mapped engine reports %d mapped bytes for %d entries in a %d-byte file", mb, n, ms.MappedBytes())
+	}
+	if mapped.ResidentBytes() != mapped.MappedBytes() {
+		t.Error("resident/mapped split disagrees before any write")
+	}
+	// A commit promotes the shards it touches: their outer slices and
+	// column mirrors move to the heap, their directories leave the mapped
+	// count, and the rows they kept stay mapped.
+	heapBefore, mappedBefore := mapped.HeapBytes(), mapped.MappedBytes()
+	seedsel.CELF(mapped, 1)
+	if mapped.HeapBytes() <= heapBefore || mapped.MappedBytes() >= mappedBefore {
+		t.Errorf("promote-on-commit did not move footprint heapward: heap %d->%d mapped %d->%d",
+			heapBefore, mapped.HeapBytes(), mappedBefore, mapped.MappedBytes())
+	}
+	if mapped.ResidentBytes() != mapped.HeapBytes()+mapped.MappedBytes() {
+		t.Error("resident != heap + mapped after a commit")
+	}
+}

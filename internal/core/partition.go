@@ -46,8 +46,7 @@ func (e *Engine) PartitionRange() (lo, hi int) {
 
 // seedRowData is the opaque payload behind ExtractSeedRow/CommitSeedRow:
 // the committed seed's credit cells, one row per scanned action of the
-// seed (parallel to actionsOf[x]), copied out of the owning engine so the
-// payload stays valid while every partition applies the commit.
+// seed (parallel to actionsOf[x]).
 type seedRowData struct {
 	rows [][]ucEntry
 }
@@ -56,9 +55,10 @@ type seedRowData struct {
 // (influenced, Gamma^{V-S}_{x,u}(a)) cells of every action x performed —
 // as an opaque payload for CommitSeedRow. It must be called on the engine
 // owning x's row (any unpartitioned engine, or the partition whose range
-// contains x) before that engine commits x. The cells are copied, so the
-// payload remains valid across the commit on every partition, including
-// the owner's own.
+// contains x) before that engine commits x. The payload references the
+// owner's rows without copying them: installed rows are never written,
+// and a commit only unlinks x's row, so the payload stays valid across
+// the commit on every partition, including the owner's own.
 func (e *Engine) ExtractSeedRow(x graph.NodeID) any {
 	if !e.ownsRow(x) {
 		panic(fmt.Sprintf("core: ExtractSeedRow(%d) outside partition rows [%d,%d)", x, e.partLo, e.partHi))
@@ -66,16 +66,8 @@ func (e *Engine) ExtractSeedRow(x graph.NodeID) any {
 	xi := int32(x)
 	acts := e.actionsOf[x]
 	d := &seedRowData{rows: make([][]ucEntry, len(acts))}
-	total := 0
-	for _, a := range acts {
-		total += len(e.uc[a].row(xi))
-	}
-	flat := make([]ucEntry, 0, total)
 	for i, a := range acts {
-		row := e.uc[a].row(xi)
-		start := len(flat)
-		flat = append(flat, row...)
-		d.rows[i] = flat[start:len(flat):len(flat)]
+		d.rows[i] = e.uc[a].row(xi)
 	}
 	return d
 }
@@ -86,59 +78,34 @@ func (e *Engine) ExtractSeedRow(x graph.NodeID) any {
 // flowing through x, and Lemma 3 raises Gamma_{S,u}(a) for every u in the
 // payload — SC is maintained as a full replica on every partition, which
 // is what keeps Gain exact and bit-identical at any partition count.
-// Finally x's local row (owner only) and column are removed. On an
-// unpartitioned engine, CommitSeedRow(x, ExtractSeedRow(x)) is exactly
-// Add(x).
+// Finally x's local row (owner only) and column are removed. The local
+// work is one merge pass per touched row (ucAction.commitSeed): rows are
+// replaced, never edited, so shards shared with clones or a mapping stay
+// untouched. On an unpartitioned engine, CommitSeedRow(x,
+// ExtractSeedRow(x)) is exactly Add(x).
 func (e *Engine) CommitSeedRow(x graph.NodeID, payload any) {
 	d := payload.(*seedRowData)
 	xi := int32(x)
 	for i, a := range e.actionsOf[x] {
-		ua := e.mutShard(a)
-		row := d.rows[i]  // (u, Gamma^{V-S}_{x,u}(a)) cells from the owner
-		col := ua.col(xi) // local v ids with Gamma^{V-S}_{v,x}(a) > 0
+		row := d.rows[i] // (u, Gamma^{V-S}_{x,u}(a)) cells from the owner
 		scx := 0.0
 		if e.sc[a] != nil {
 			scx = e.sc[a][xi]
 		}
-		// The Gamma^{V-S}_{v,x}(a) values are fixed for the whole update
-		// (Lemma 2 only rewrites cells with u != x), so read them once.
-		cvxs := make([]float64, len(col))
-		for j, v := range col {
-			cvxs[j], _ = ua.get(v, xi)
+		// Lemma 3: Gamma_{S+x,u}(a) = Gamma_{S,u}(a) + cxu*(1-scx).
+		// Replayed identically on every partition from the shared payload,
+		// keeping the SC replicas bit-identical.
+		if e.sc[a] == nil && len(row) > 0 {
+			e.sc[a] = make(map[int32]float64, len(row))
 		}
 		for _, en := range row {
-			u, cxu := en.u, en.c
-			// Lemma 2: credits of every local v over u lose the paths
-			// through x. Each (v, u) cell lives in exactly one partition
-			// (v's), so the per-partition updates are disjoint and their
-			// union equals the unpartitioned update.
-			for j, v := range col {
-				cvx := cvxs[j]
-				ri, ei, ok := ua.find(v, u)
-				if !ok {
-					// Mathematically the entry holds >= cvx*cxu > 0, but
-					// truncation may have dropped it; nothing to subtract.
-					continue
-				}
-				value := ua.rows[ri][ei].c - cvx*cxu
-				if value > 1e-15 {
-					ua.rows[ri][ei].c = value
-				} else if ua.remove(v, u) {
-					e.entries--
-				}
-			}
-			// Lemma 3: Gamma_{S+x,u}(a) = Gamma_{S,u}(a) + cxu*(1-scx).
-			// Replayed identically on every partition from the shared
-			// payload, keeping the SC replicas bit-identical.
-			if e.sc[a] == nil {
-				e.sc[a] = make(map[int32]float64)
-			}
-			e.sc[a][u] += cxu * (1 - scx)
+			e.sc[a][en.u] += en.c * (1 - scx)
 		}
-		// Remove x's row (present only on the owner) and column: x is no
-		// longer part of V-S.
-		e.entries -= int64(ua.removeRow(xi))
-		e.entries -= int64(ua.removeCol(xi))
+		// Lemma 2 plus the removal of x's row and column: x is no longer
+		// part of V-S. Each (v, u) cell lives in exactly one partition
+		// (v's), so the per-partition updates are disjoint and their union
+		// equals the unpartitioned update.
+		e.entries -= e.mutShard(a).commitSeed(xi, row)
 	}
 	e.seeds = append(e.seeds, x)
 }
@@ -148,10 +115,10 @@ func (e *Engine) CommitSeedRow(x graph.NodeID, payload any) {
 // range (heap shards share the row cell storage and rebuild their column
 // mirrors; mapped shards stay zero-copy windows into the snapshot file),
 // while the global per-user state is carried in full and SC starts empty.
-// The partition is frozen (every shard shared), so commits on it pay
-// copy-on-write exactly like commits on a served snapshot. Slicing an
-// engine with committed seeds, an engine that is already a partition, or
-// an out-of-bounds range is an error.
+// The partition is frozen (every shard shared), so commits on it copy
+// outer row slices on first touch exactly like commits on a served
+// snapshot. Slicing an engine with committed seeds, an engine that is
+// already a partition, or an out-of-bounds range is an error.
 func (e *Engine) Slice(lo, hi int) (*Engine, error) {
 	if len(e.seeds) > 0 {
 		return nil, ErrSeedsCommitted
@@ -197,11 +164,10 @@ func (e *Engine) Slice(lo, hi int) (*Engine, error) {
 }
 
 // sliceShard restricts one shard to the influencer rows in [lo, hi),
-// returning the sub-shard and its entry count. Heap shards share the row
-// cell slices of the source (the sub-shard is frozen, so any mutation
-// promotes a private copy first); mapped shards stay windows into the
-// mapping, with the directory and contiguous cell region sub-sliced in
-// place.
+// returning the sub-shard and its entry count. Heap shards share the rows
+// of the source, which no one writes (a frozen sub-shard's first commit
+// copies its outer slices); mapped shards stay windows into the mapping,
+// with the directory and contiguous cell region sub-sliced in place.
 func sliceShard(st rowStore, lo, hi int32) (rowStore, int64) {
 	switch s := st.(type) {
 	case *ucAction:
@@ -209,6 +175,7 @@ func sliceShard(st rowStore, lo, hi int32) (rowStore, int64) {
 		sub := &ucAction{
 			rowKey: s.rowKey[ri0:ri1:ri1],
 			rows:   s.rows[ri0:ri1:ri1],
+			view:   s.view,
 		}
 		buildColumnsSorted(sub)
 		return sub, sub.entryCount()

@@ -196,7 +196,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // seeds are already committed (blocked). They arrive as query parameters
 // (audience=1,2,3&window=12&blocked=4) or the same-named JSON body
 // fields. All absent means the default objective, which routes through
-// the exact pre-objective code paths byte-for-byte.
+// the exact pre-objective code paths byte-for-byte. A present but empty
+// audience (audience= with no ids, or "audience": []) is a 400: it names
+// nobody, and neither the default objective nor an all-zero-weight one is
+// what the caller meant.
 type objectiveParams struct {
 	Audience []credist.NodeID `json:"audience,omitempty"`
 	Window   *float64         `json:"window,omitempty"`
@@ -207,6 +210,9 @@ func (p *objectiveParams) fromQuery(q url.Values) error {
 	var err error
 	if p.Audience, err = parseIDList(q.Get("audience")); err != nil {
 		return err
+	}
+	if q.Has("audience") && len(p.Audience) == 0 {
+		return badRequest("%s", errEmptyAudience)
 	}
 	if raw := q.Get("window"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
@@ -221,18 +227,25 @@ func (p *objectiveParams) fromQuery(q url.Values) error {
 	return nil
 }
 
+const errEmptyAudience = "audience must list at least one user id; omit it for the default objective"
+
 // objective lowers the parsed parameters to a facade objective, nil for
-// the default. Semantic validation (id ranges, a finite non-negative
-// window) happens in the facade, whose errors map to 400s.
-func (p *objectiveParams) objective() *credist.Objective {
+// the default. It refuses an empty audience list from a JSON body (the
+// query form is refused while parsing); the remaining semantic validation
+// (id ranges, a finite non-negative window) happens in the facade, whose
+// errors map to 400s.
+func (p *objectiveParams) objective() (*credist.Objective, error) {
+	if p.Audience != nil && len(p.Audience) == 0 {
+		return nil, badRequest("%s", errEmptyAudience)
+	}
 	if p.Audience == nil && p.Window == nil && p.Blocked == nil {
-		return nil
+		return nil, nil
 	}
 	o := &credist.Objective{Audience: p.Audience, Blocked: p.Blocked}
 	if p.Window != nil {
 		o.Windowed, o.Window = true, *p.Window
 	}
-	return o
+	return o, nil
 }
 
 // parseCosts parses the /seeds costs parameter: "id:cost" pairs over
@@ -389,7 +402,10 @@ func (s *Server) handleSpread(sn *Snapshot, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	obj := req.objective()
+	obj, err := req.objective()
+	if err != nil {
+		return nil, err
+	}
 	switch {
 	case req.Seeds != nil && req.Sets != nil:
 		return nil, badRequest("provide seeds or sets, not both")
@@ -522,9 +538,12 @@ func (s *Server) handleGain(sn *Snapshot, r *http.Request) (any, error) {
 	if err := validateIDs(req.Seeds, sn.NumUsers()); err != nil {
 		return nil, err
 	}
+	obj, err := req.objective()
+	if err != nil {
+		return nil, err
+	}
 	var gains []float64
-	var err error
-	if obj := req.objective(); obj != nil {
+	if obj != nil {
 		gains, err = sn.GainsObj(req.Seeds, req.Candidates, obj)
 		if err != nil {
 			return nil, requestError(err)
@@ -596,7 +615,10 @@ func (s *Server) handleSeeds(sn *Snapshot, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	obj := op.objective()
+	obj, err := op.objective()
+	if err != nil {
+		return nil, err
+	}
 	if costs != nil || costBudget != 0 {
 		if obj == nil {
 			obj = &credist.Objective{}

@@ -230,6 +230,41 @@ func TestHandlerTable(t *testing.T) {
 	}
 }
 
+// TestEmptyAudienceRejected pins that a present but empty audience is a
+// 400 naming audience on every objective route, in the query form
+// (audience= or only commas) and the JSON form ("audience": []), rather
+// than silently meaning the default objective or an all-zero-weight one.
+func TestEmptyAudienceRejected(t *testing.T) {
+	h := newTestServer(t).Handler()
+	var reqs [][3]string // method, target, body
+	for _, empty := range []string{"audience=", "audience=,", "audience=,,%20,"} {
+		reqs = append(reqs,
+			[3]string{"GET", "/spread?seeds=1,2&" + empty, ""},
+			[3]string{"GET", "/gain?candidates=4,5&" + empty, ""},
+			[3]string{"GET", "/seeds?k=3&" + empty, ""})
+	}
+	reqs = append(reqs,
+		[3]string{"POST", "/spread", `{"seeds":[1,2],"audience":[]}`},
+		[3]string{"POST", "/gain", `{"candidates":[4,5],"audience":[]}`})
+	for _, r := range reqs {
+		status, body := do(t, h, r[0], r[1], r[2])
+		msg, _ := body["error"].(string)
+		if status != 400 || !strings.Contains(msg, "audience") {
+			t.Errorf("%s %s %s: status %d, error %q; want 400 naming audience", r[0], r[1], r[2], status, msg)
+		}
+	}
+	// An absent or null audience still means the default objective.
+	for _, r := range [][3]string{
+		{"GET", "/spread?seeds=1,2", ""},
+		{"POST", "/spread", `{"seeds":[1,2],"audience":null}`},
+		{"POST", "/gain", `{"candidates":[4,5],"audience":null}`},
+	} {
+		if status, body := do(t, h, r[0], r[1], r[2]); status != 200 {
+			t.Errorf("%s %s %s: status %d (%v), want 200", r[0], r[1], r[2], status, body)
+		}
+	}
+}
+
 // TestBitIdenticalToOfflineModel is the serving layer's core guarantee:
 // every query answer equals — exactly, not approximately — the value the
 // offline Model produces. JSON carries float64 through Go's shortest

@@ -123,15 +123,19 @@ func (m *Model) Spread(seeds []NodeID) float64 { return m.eval().Spread(seeds) }
 // candidate c against the base seed set S, batched so the engine scan (or
 // clone) is paid once per call rather than once per candidate. It matches
 // Planner exactly: Gains(base, cs)[i] is bit-for-bit the value a Planner
-// returns from Gain(cs[i]) after Add-ing each base seed in order.
+// returns from Gain(cs[i]) after Add-ing each base seed in order. An
+// empty base reads the model's frozen base engine directly, with no clone.
 func (m *Model) Gains(base, candidates []NodeID) []float64 {
-	p := m.NewPlanner()
-	for _, s := range base {
-		p.Add(s)
+	eng := m.base()
+	if len(base) > 0 {
+		eng = eng.Clone()
+		for _, s := range base {
+			eng.Add(s)
+		}
 	}
 	out := make([]float64, len(candidates))
 	for i, c := range candidates {
-		out[i] = p.Gain(c)
+		out[i] = eng.Gain(c)
 	}
 	return out
 }
