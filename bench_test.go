@@ -907,6 +907,40 @@ func BenchmarkGainsOneBase(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectRivalOnly runs a k=20 selection against the two top
+// singleton-gain rivals on the full flixster-small preset — the
+// rival-only shape that singleton-gain bounds serve — and reports its
+// gain lookups per selection next to the full first pass a selection
+// without bounds makes. The model's bounds are computed before the timer
+// starts, as a serving process computes them once per snapshot.
+func BenchmarkSelectRivalOnly(b *testing.B) {
+	m := rivalOnlyModel()
+	o := &Objective{Blocked: topSingletons(m, 2)}
+	if _, err := m.SelectSeedsObj(20, o); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("bounds", func(b *testing.B) {
+		b.ReportAllocs()
+		lookups := 0
+		for b.Loop() {
+			res, err := m.SelectSeedsObj(20, o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			lookups = res.Lookups
+		}
+		b.ReportMetric(float64(lookups), "lookups/op")
+	})
+	b.Run("full-pass", func(b *testing.B) {
+		b.ReportAllocs()
+		lookups := 0
+		for b.Loop() {
+			lookups = fullPassSelection(m.NewPlanner(), 20, o).Lookups
+		}
+		b.ReportMetric(float64(lookups), "lookups/op")
+	})
+}
+
 // BenchmarkUCFlixsterSmall measures the UC store on the full
 // flixster-small preset: entry count, resident bytes per entry, and Gain
 // throughput over every candidate. These are the numbers CHANGES.md

@@ -179,7 +179,7 @@ Flags:
 			*warmK, res.Spread, time.Since(t).Round(time.Millisecond))
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -199,4 +199,20 @@ Flags:
 		fmt.Fprintln(os.Stderr, "credist serve: shutdown:", err)
 		os.Exit(1)
 	}
+}
+
+// Connection timeouts of the HTTP listener. A client has
+// readHeaderTimeout to send its request headers, and a keep-alive
+// connection may idle idleTimeout between requests, so a stalled or
+// abandoned client cannot hold a connection open for ever. There is
+// deliberately no write timeout: a large-k /seeds selection legitimately
+// runs for seconds.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the listener serve runs, with its timeouts set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

@@ -25,6 +25,19 @@
 // early. With Workers: 1 the algorithm is exactly the classic serial CELF
 // — one stale refresh per heap inspection, no speculation.
 //
+// Bound-seeded heap: Options.Bounds replaces the first-iteration pass.
+// Every candidate enters the heap unevaluated, keyed by a caller-supplied
+// upper bound on its gain (the facade passes each node's singleton gain
+// on the seed-free base for rival-only selections, whose pre-committed
+// rivals can only lower gains), and is priced only when it surfaces at
+// the top, by the same stale-refresh loop. The fresh maximum still wins
+// the pop order because every key is an upper bound, so Seeds and Gains
+// are bit-identical to the full first pass. Lookups is not: it counts
+// only the Gain evaluations the run made, so a bound-seeded selection
+// reports a few per seed where the full pass reports the whole pool (56
+// against 40,052 for k=20 on a 40,000-user model). Budgeted runs ignore
+// Bounds and keep the full pass.
+//
 // Prefix-incremental contract: a Selection never recomputes a committed
 // prefix. Grow(k) extends the selection to k seeds, keeping the heap of
 // cached bounds across calls, so after Grow(50) the answer for every
@@ -103,6 +116,17 @@ type Options struct {
 	// rival's set commit the blocked nodes to the estimator before
 	// selecting; Blocked then keeps them from being picked again.
 	Blocked []graph.NodeID
+	// Bounds, when set, holds an upper bound on every node's marginal
+	// gain for the whole run (indexed by id, covering the universe) —
+	// typically each node's singleton gain on the estimator's state before
+	// any of the run's commits, which by submodularity bounds its gain
+	// under every larger seed set. The first pass then prices nothing:
+	// each pool node enters the heap as a never-evaluated entry keyed by
+	// its bound, and the lazy-forward loop refreshes it only if it
+	// surfaces. Seeds and Gains are those of the full first pass; only
+	// Lookups falls. Ignored under a Budget, whose best-of rule needs
+	// every affordable singleton's exact gain.
+	Bounds []float64
 }
 
 // Result reports a selection prefix.
@@ -220,6 +244,7 @@ type Selection struct {
 	candidates []graph.NodeID // nil = all nodes
 	costs      []float64      // nil = unit costs
 	budget     float64        // 0 = unlimited
+	bounds     []float64      // nil = price every candidate in the first pass
 	blocked    map[graph.NodeID]struct{}
 
 	h     gainHeap
@@ -252,6 +277,9 @@ func NewSelection(est Estimator, opts Options) *Selection {
 		costs:      opts.Costs,
 		budget:     opts.Budget,
 		single:     entry{node: -1, gain: math.Inf(-1)},
+	}
+	if opts.Budget <= 0 {
+		s.bounds = opts.Bounds
 	}
 	if len(opts.Blocked) > 0 {
 		s.blocked = make(map[graph.NodeID]struct{}, len(opts.Blocked))
@@ -400,7 +428,9 @@ func (s *Selection) Grow(k int) Result {
 // buildHeap runs the first-iteration marginal-gain pass: every candidate
 // outside the committed seed set is evaluated (fanned over the workers,
 // written by index so scheduling cannot reorder anything) and the heap is
-// initialized from the candidate-ordered slice.
+// initialized from the candidate-ordered slice. With Bounds the pass
+// evaluates nothing: each candidate enters as a stale entry of round -1
+// keyed by its bound, which Grow refreshes like any other stale bound.
 func (s *Selection) buildHeap() {
 	var pool []graph.NodeID
 	if s.candidates != nil {
@@ -439,8 +469,18 @@ func (s *Selection) buildHeap() {
 			pool = filtered
 		}
 	}
-	round := len(s.seeds)
 	ents := make(gainHeap, len(pool))
+	if s.bounds != nil {
+		for i, x := range pool {
+			b := s.bounds[x]
+			ents[i] = entry{node: x, gain: b, key: s.keyOf(x, b), round: -1}
+		}
+		heap.Init(&ents)
+		s.h = ents
+		s.built = true
+		return
+	}
+	round := len(s.seeds)
 	s.forEach(len(pool), func(i int) {
 		g := s.est.Gain(pool[i])
 		ents[i] = entry{node: pool[i], gain: g, key: s.keyOf(pool[i], g), round: round}

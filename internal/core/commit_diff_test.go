@@ -373,9 +373,10 @@ func wideInstance(rng *rand.Rand, nUsers, nActions int) (*graph.Graph, *actionlo
 // heap engine that owns its shards, a clone of a frozen base (plus a
 // branch cloned from it mid-selection), clones of a frozen base committing
 // concurrently, a clone of a mapped version-3 base, and Slice partitions
-// 1-4 driven by ExtractSeedRow/CommitSeedRow.
-// The instances include rows both shorter and longer than ownRowCells, so
-// both of commitSeed's row allocations are covered.
+// 1-4 driven by ExtractSeedRow/CommitSeedRow. Every flavour runs twice:
+// on the serial commit loop, and (subtest "fanned") with the action
+// fan-out forced on. The instances include rows both shorter and longer
+// than ownRowCells, so both of commitSeed's row allocations are covered.
 // The frozen and mapped bases must come out of it with every cell
 // bit-unchanged.
 func TestCommitMatchesPerCellKernel(t *testing.T) {
@@ -390,122 +391,146 @@ func TestCommitMatchesPerCellKernel(t *testing.T) {
 				}
 			}
 
-			t.Run("heap", func(t *testing.T) {
-				e, r := fresh(), ref.clone()
-				for i, x := range tc.seeds {
-					e.Add(x)
-					r.add(x)
-					requireMatchesRef(t, fmt.Sprintf("after seed %d (%d)", i, x), r, e)
-				}
-			})
-
-			t.Run("frozen-clone", func(t *testing.T) {
-				base := fresh()
-				base.Freeze()
-				c, r := base.Clone(), ref.clone()
-				half := len(tc.seeds) / 2
-				for i, x := range tc.seeds[:half] {
-					c.Add(x)
-					r.add(x)
-					requireMatchesRef(t, fmt.Sprintf("after seed %d (%d)", i, x), r, c)
-				}
-				// A branch of an engine that owns promoted shards: both sides
-				// commit the remaining seeds in opposite orders.
-				branch, rb := c.Clone(), r.clone()
-				rest := tc.seeds[half:]
-				for i, x := range rest {
-					c.Add(x)
-					r.add(x)
-					requireMatchesRef(t, fmt.Sprintf("trunk after seed %d (%d)", half+i, x), r, c)
-					y := rest[len(rest)-1-i]
-					branch.Add(y)
-					rb.add(y)
-					requireMatchesRef(t, fmt.Sprintf("branch after seed %d (%d)", half+i, y), rb, branch)
-				}
-				requireMatchesRef(t, "frozen base after its clones committed", ref, base)
-			})
-
-			t.Run("concurrent-clones", func(t *testing.T) {
-				// Clones of one frozen base commit on separate goroutines
-				// (each its own rotation of the seeds), sharing every row
-				// and column; -race checks that no commit writes them.
-				base := fresh()
-				base.Freeze()
-				const n = 4
-				clones := make([]*Engine, n)
-				for i := range clones {
-					clones[i] = base.Clone()
-				}
-				rotation := func(i int) []graph.NodeID {
-					r := i % len(tc.seeds)
-					return append(slices.Clone(tc.seeds[r:]), tc.seeds[:r]...)
-				}
-				var wg sync.WaitGroup
-				for i, c := range clones {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for _, x := range rotation(i) {
-							c.Add(x)
-						}
-					}()
-				}
-				wg.Wait()
-				for i, c := range clones {
-					r := ref.clone()
-					for _, x := range rotation(i) {
+			subtests := func(t *testing.T, fresh func() *Engine) {
+				t.Run("heap", func(t *testing.T) {
+					e, r := fresh(), ref.clone()
+					for i, x := range tc.seeds {
+						e.Add(x)
 						r.add(x)
+						requireMatchesRef(t, fmt.Sprintf("after seed %d (%d)", i, x), r, e)
 					}
-					requireMatchesRef(t, fmt.Sprintf("clone %d", i), r, c)
-				}
-				requireMatchesRef(t, "frozen base after concurrent clone commits", ref, base)
-			})
+				})
 
-			t.Run("mapped-clone", func(t *testing.T) {
-				path := writeSnapshotFile(t, fresh(), DatasetLineage("diff", tc.g, tc.log), nil)
-				mapped, _, _, _ := openMapped(t, path)
-				c, r := mapped.Clone(), ref.clone()
-				for i, x := range tc.seeds {
-					c.Add(x)
-					r.add(x)
-					requireMatchesRef(t, fmt.Sprintf("after seed %d (%d)", i, x), r, c)
-				}
-				requireMatchesRef(t, "mapped base after its clone committed", ref, mapped)
-			})
-
-			for n := 1; n <= 4; n++ {
-				t.Run(fmt.Sprintf("partitions-%d", n), func(t *testing.T) {
+				t.Run("frozen-clone", func(t *testing.T) {
 					base := fresh()
 					base.Freeze()
-					numUsers := base.NumNodes()
-					parts := make([]*Engine, n)
-					for i := range parts {
-						p, err := base.Slice(i*numUsers/n, (i+1)*numUsers/n)
-						if err != nil {
-							t.Fatal(err)
-						}
-						parts[i] = p
-					}
-					r := ref.clone()
-					for i, x := range tc.seeds {
-						var payload any
-						for _, p := range parts {
-							if p.ownsRow(x) {
-								payload = p.ExtractSeedRow(x)
-							}
-						}
-						for _, p := range parts {
-							p.CommitSeedRow(x, payload)
-						}
+					c, r := base.Clone(), ref.clone()
+					half := len(tc.seeds) / 2
+					for i, x := range tc.seeds[:half] {
+						c.Add(x)
 						r.add(x)
-						requireMatchesRef(t, fmt.Sprintf("after seed %d (%d)", i, x), r, parts...)
+						requireMatchesRef(t, fmt.Sprintf("after seed %d (%d)", i, x), r, c)
 					}
-					requireMatchesRef(t, "sliced base after its partitions committed", ref, base)
+					// A branch of an engine that owns promoted shards: both sides
+					// commit the remaining seeds in opposite orders.
+					branch, rb := c.Clone(), r.clone()
+					rest := tc.seeds[half:]
+					for i, x := range rest {
+						c.Add(x)
+						r.add(x)
+						requireMatchesRef(t, fmt.Sprintf("trunk after seed %d (%d)", half+i, x), r, c)
+						y := rest[len(rest)-1-i]
+						branch.Add(y)
+						rb.add(y)
+						requireMatchesRef(t, fmt.Sprintf("branch after seed %d (%d)", half+i, y), rb, branch)
+					}
+					requireMatchesRef(t, "frozen base after its clones committed", ref, base)
 				})
+
+				t.Run("concurrent-clones", func(t *testing.T) {
+					// Clones of one frozen base commit on separate goroutines
+					// (each its own rotation of the seeds), sharing every row
+					// and column; -race checks that no commit writes them.
+					base := fresh()
+					base.Freeze()
+					const n = 4
+					clones := make([]*Engine, n)
+					for i := range clones {
+						clones[i] = base.Clone()
+					}
+					rotation := func(i int) []graph.NodeID {
+						r := i % len(tc.seeds)
+						return append(slices.Clone(tc.seeds[r:]), tc.seeds[:r]...)
+					}
+					var wg sync.WaitGroup
+					for i, c := range clones {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for _, x := range rotation(i) {
+								c.Add(x)
+							}
+						}()
+					}
+					wg.Wait()
+					for i, c := range clones {
+						r := ref.clone()
+						for _, x := range rotation(i) {
+							r.add(x)
+						}
+						requireMatchesRef(t, fmt.Sprintf("clone %d", i), r, c)
+					}
+					requireMatchesRef(t, "frozen base after concurrent clone commits", ref, base)
+				})
+
+				t.Run("mapped-clone", func(t *testing.T) {
+					path := writeSnapshotFile(t, fresh(), DatasetLineage("diff", tc.g, tc.log), nil)
+					mapped, _, _, _ := openMapped(t, path)
+					c, r := mapped.Clone(), ref.clone()
+					for i, x := range tc.seeds {
+						c.Add(x)
+						r.add(x)
+						requireMatchesRef(t, fmt.Sprintf("after seed %d (%d)", i, x), r, c)
+					}
+					requireMatchesRef(t, "mapped base after its clone committed", ref, mapped)
+				})
+
+				for n := 1; n <= 4; n++ {
+					t.Run(fmt.Sprintf("partitions-%d", n), func(t *testing.T) {
+						base := fresh()
+						base.Freeze()
+						numUsers := base.NumNodes()
+						parts := make([]*Engine, n)
+						for i := range parts {
+							p, err := base.Slice(i*numUsers/n, (i+1)*numUsers/n)
+							if err != nil {
+								t.Fatal(err)
+							}
+							parts[i] = p
+						}
+						r := ref.clone()
+						for i, x := range tc.seeds {
+							var payload any
+							for _, p := range parts {
+								if p.ownsRow(x) {
+									payload = p.ExtractSeedRow(x)
+								}
+							}
+							for _, p := range parts {
+								p.CommitSeedRow(x, payload)
+							}
+							r.add(x)
+							requireMatchesRef(t, fmt.Sprintf("after seed %d (%d)", i, x), r, parts...)
+						}
+						requireMatchesRef(t, "sliced base after its partitions committed", ref, base)
+					})
+				}
 			}
+			subtests(t, fresh)
+			// The same flavours with every non-empty payload fanned over four
+			// workers by action: -race checks the per-action state stays
+			// disjoint, the oracle that the result is the serial one.
+			t.Run("fanned", func(t *testing.T) {
+				defer lowerParallelCommitCells(t)()
+				subtests(t, func() *Engine {
+					opts := tc.opts
+					opts.Workers = 4
+					return NewEngine(tc.g, tc.log, opts)
+				})
+			})
 		})
 	}
 	if longest < ownRowCells {
 		t.Fatalf("longest row has %d cells; no instance exercises rows of %d+ cells", longest, ownRowCells)
 	}
+}
+
+// lowerParallelCommitCells forces CommitSeedRow's action fan-out onto
+// every non-empty payload, so tiny instances exercise it; the returned
+// func restores the cut-off.
+func lowerParallelCommitCells(t *testing.T) func() {
+	t.Helper()
+	old := parallelCommitCells
+	parallelCommitCells = 1
+	return func() { parallelCommitCells = old }
 }

@@ -265,20 +265,32 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 		}
 		rs := seedsel.CELF(serial, 8)
 		rp := seedsel.CELF(parallel, 8)
-		for i := range rs.Seeds {
-			if rs.Seeds[i] != rp.Seeds[i] {
-				t.Fatalf("lambda=%g: seed %d differs: %d vs %d", lambda, i, rs.Seeds[i], rp.Seeds[i])
+		// A third engine commits every seed through CommitSeedRow's action
+		// fan-out, forced on for these small payloads.
+		fanned := NewEngine(g, log, Options{Workers: 4, Lambda: lambda, Credit: credit})
+		restore := lowerParallelCommitCells(t)
+		rf := seedsel.CELF(fanned, 8)
+		restore()
+		for name, other := range map[string]struct {
+			res seedsel.Result
+			eng *Engine
+		}{"parallel": {rp, parallel}, "fanned": {rf, fanned}} {
+			ro := other.res
+			for i := range rs.Seeds {
+				if rs.Seeds[i] != ro.Seeds[i] {
+					t.Fatalf("lambda=%g %s: seed %d differs: %d vs %d", lambda, name, i, rs.Seeds[i], ro.Seeds[i])
+				}
+				if rs.Gains[i] != ro.Gains[i] {
+					t.Fatalf("lambda=%g %s: gain %d not bit-identical: %b vs %b", lambda, name, i, rs.Gains[i], ro.Gains[i])
+				}
 			}
-			if rs.Gains[i] != rp.Gains[i] {
-				t.Fatalf("lambda=%g: gain %d not bit-identical: %b vs %b", lambda, i, rs.Gains[i], rp.Gains[i])
+			if serial.Entries() != other.eng.Entries() {
+				t.Fatalf("lambda=%g %s: post-selection entries %d vs %d", lambda, name, serial.Entries(), other.eng.Entries())
 			}
-		}
-		if serial.Entries() != parallel.Entries() {
-			t.Fatalf("lambda=%g: post-selection entries %d vs %d", lambda, serial.Entries(), parallel.Entries())
-		}
-		for u := 0; u < g.NumNodes(); u++ {
-			if gs, gp := serial.Gain(graph.NodeID(u)), parallel.Gain(graph.NodeID(u)); gs != gp {
-				t.Fatalf("lambda=%g: post-selection Gain(%d): %b vs %b", lambda, u, gs, gp)
+			for u := 0; u < g.NumNodes(); u++ {
+				if gs, gp := serial.Gain(graph.NodeID(u)), other.eng.Gain(graph.NodeID(u)); gs != gp {
+					t.Fatalf("lambda=%g %s: post-selection Gain(%d): %b vs %b", lambda, name, u, gs, gp)
+				}
 			}
 		}
 		// Spread evaluation is deterministic too: two evaluator instances

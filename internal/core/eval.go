@@ -154,23 +154,39 @@ func (ev *Evaluator) Spread(seeds []graph.NodeID) float64 {
 	// summation order — and hence the returned spread — is deterministic
 	// for a given seed slice.
 	seen := make(map[actionlog.ActionID]bool)
+	val := ev.scratch(seeds)
 	for _, s := range seeds {
 		for _, a := range ev.actionsOf[s] {
 			if seen[a] {
 				continue
 			}
 			seen[a] = true
-			spread += ev.actionSpread(a, inS)
+			spread += ev.actionSpread(a, inS, val)
 		}
 	}
 	return spread
 }
 
+// scratch returns the per-participant credit buffer one Spread or
+// SpreadObj call reuses across its actions, sized to the largest action
+// any seed performed. Every entry an action reads is written earlier in
+// the same action's walk, so reuse needs no clearing.
+func (ev *Evaluator) scratch(seeds []graph.NodeID) []float64 {
+	n := 0
+	for _, s := range seeds {
+		for _, a := range ev.actionsOf[s] {
+			n = max(n, len(ev.props[a].Users))
+		}
+	}
+	return make([]float64, n)
+}
+
 // actionSpread returns sum over non-seed participants u of action a of
-// Gamma_{S,u}(a)/A_u.
-func (ev *Evaluator) actionSpread(a actionlog.ActionID, inS map[graph.NodeID]bool) float64 {
+// Gamma_{S,u}(a)/A_u, using val (at least as long as a's participant
+// list) as scratch.
+func (ev *Evaluator) actionSpread(a actionlog.ActionID, inS map[graph.NodeID]bool, val []float64) float64 {
 	p := ev.props[a]
-	val := make([]float64, len(p.Users))
+	val = val[:len(p.Users)]
 	total := 0.0
 	for i, u := range p.Users {
 		if inS[u] {

@@ -240,13 +240,14 @@ func (ev *Evaluator) SpreadObj(seeds []graph.NodeID, obj *Objective) float64 {
 	}
 	spread := 0.0
 	seen := make(map[actionlog.ActionID]bool)
+	val := ev.scratch(seeds)
 	for _, s := range seeds {
 		for _, a := range ev.actionsOf[s] {
 			if seen[a] {
 				continue
 			}
 			seen[a] = true
-			spread += ev.actionSpreadObj(a, inS, obj)
+			spread += ev.actionSpreadObj(a, inS, obj, val)
 		}
 	}
 	return spread
@@ -256,9 +257,9 @@ func (ev *Evaluator) SpreadObj(seeds []graph.NodeID, obj *Objective) float64 {
 // actionSpread, seed self-credits are accumulated here (per action, so
 // the window can gate them) instead of as a flat +1 per seed in the
 // caller.
-func (ev *Evaluator) actionSpreadObj(a actionlog.ActionID, inS map[graph.NodeID]bool, obj *Objective) float64 {
+func (ev *Evaluator) actionSpreadObj(a actionlog.ActionID, inS map[graph.NodeID]bool, obj *Objective, val []float64) float64 {
 	p := ev.props[a]
-	val := make([]float64, len(p.Users))
+	val = val[:len(p.Users)]
 	total := 0.0
 	for i, u := range p.Users {
 		f := obj.weight(u)

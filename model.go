@@ -59,6 +59,9 @@ type Model struct {
 	// action's first participation — what time-windowed objectives gate
 	// on. Derived from the log alone, at most once per model.
 	delays func() *core.ActionDelays
+	// bounds holds the base engine's singleton gains for rival-only
+	// selections (objective.go), computed on the first one.
+	bounds singletonBounds
 }
 
 // Close releases the file mapping behind a model opened with
@@ -343,6 +346,9 @@ func (s *GrowableSelection) Planner() *Planner { return s.p }
 // seed-selection requests.
 type Planner struct {
 	eng *core.Engine
+	// bounds holds this planner's singleton gains for the rival-only
+	// selections SelectSeedsObjOn runs over its clones (objective.go).
+	bounds singletonBounds
 }
 
 // NewPlanner returns a planner with an empty seed set over the model's

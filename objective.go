@@ -325,9 +325,42 @@ func (m *Model) SelectSeedsObjOn(p *Planner, k int, o *Objective) (seedsel.Resul
 	}
 	opts := celf.Options{Workers: work.eng.Workers(), Costs: costs, Budget: budget, Blocked: blocked}
 	if cobj == nil {
+		if budget == 0 {
+			opts.Bounds = p.bounds.get(func() []float64 { return engineGains(p.eng) })
+		}
 		return celf.Run(work.eng, k, opts), nil
 	}
 	return celf.Run(objEstimator{eng: work.eng, obj: cobj}, k, opts), nil
+}
+
+// singletonBounds lazily holds every node's default marginal gain on one
+// fixed credit state (a frozen base, or a planner that only ever gains
+// seeds): the celf.Options.Bounds of a rival-only selection — one that
+// prices with the default gain and has no budget. Committing more seeds
+// only lowers credits (Lemma 2 subtracts a non-negative product, and the
+// float subtraction is monotone too) and raises SC (Lemma 3), so each
+// value stays an upper bound on the node's gain under any seed set
+// containing the state's own; selections seeded with them return the
+// exact seeds and gains of a full first pass. Computed once, on the first
+// rival-only selection, so loading and serving costs nothing until then;
+// 8 bytes per user.
+type singletonBounds struct {
+	once  sync.Once
+	gains []float64
+}
+
+func (b *singletonBounds) get(compute func() []float64) []float64 {
+	b.once.Do(func() { b.gains = compute() })
+	return b.gains
+}
+
+// engineGains prices every node against eng's current seed set, fanned
+// over the engine's workers (Gain is read-only between Adds, and each
+// value is written by index).
+func engineGains(eng *core.Engine) []float64 {
+	out := make([]float64, eng.NumNodes())
+	fanObjGains(eng.Workers(), len(out), func(i int) { out[i] = eng.Gain(NodeID(i)) })
+	return out
 }
 
 // objEstimator wraps a planner engine so CELF prices candidates under an
@@ -372,6 +405,9 @@ func (m *Model) SelectSeedsObj(k int, o *Objective) (seedsel.Result, error) {
 	}
 	opts := celf.Options{Workers: p.eng.Workers(), Costs: o.Costs, Budget: o.Budget, Blocked: o.Blocked}
 	if cobj == nil {
+		if o.Budget == 0 {
+			opts.Bounds = m.bounds.get(func() []float64 { return engineGains(m.base()) })
+		}
 		return celf.Run(p.eng, k, opts), nil
 	}
 	return celf.Run(objEstimator{eng: p.eng, obj: cobj}, k, opts), nil
@@ -420,6 +456,9 @@ func (pp *PartitionedPlanner) SelectSeedsObj(m *Model, k int, o *Objective) (see
 	var opts celf.Options
 	if o != nil {
 		opts = celf.Options{Costs: o.Costs, Budget: o.Budget, Blocked: o.Blocked}
+	}
+	if cobj == nil && opts.Budget == 0 {
+		opts.Bounds = pp.bounds.get(pp.singletonGains)
 	}
 	return pp.coord.SelectObj(cobj, k, opts), nil
 }

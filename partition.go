@@ -46,6 +46,21 @@ type PartitionedPlanner struct {
 	// built by Extend share the mappings but do not own them — close the
 	// planner that opened the files, and only after every successor is gone.
 	mapped []*core.MappedSnapshot
+	// bounds holds the partitions' singleton gains for rival-only
+	// selections (objective.go), computed on the first one.
+	bounds singletonBounds
+}
+
+// singletonGains prices every node on its owning partition with no seeds
+// committed, each partition's rows fanned over the engines' workers.
+func (pp *PartitionedPlanner) singletonGains() []float64 {
+	engines := pp.coord.Engines()
+	out := make([]float64, pp.coord.NumUsers())
+	for _, e := range engines {
+		lo, hi := e.PartitionRange()
+		fanObjGains(e.Workers(), hi-lo, func(i int) { out[lo+i] = e.Gain(NodeID(lo + i)) })
+	}
+	return out
 }
 
 // Partition splits the planner's scanned engine into n contiguous
