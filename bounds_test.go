@@ -55,8 +55,8 @@ func topSingletons(m *Model, n int) []NodeID {
 	return all[:n]
 }
 
-// TestRivalOnlySelectionsUseBounds pins the three facade entry points of
-// rival-only selection — Model.SelectSeedsObj, SelectSeedsObjOn, and
+// TestRivalOnlySelectionsUseBounds pins the facade entry points of
+// rival-only selection — Model.SelectSeedsObj and
 // PartitionedPlanner.SelectSeedsObj at 1-4 partitions — to the seeds and
 // bit-equal gains of a full first pass, with fewer lookups than the
 // candidate pool, while audience, window, and budgeted selections keep
@@ -91,15 +91,6 @@ func TestRivalOnlySelectionsUseBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(label+" Model", got)
-		base := m.NewPlanner()
-		got, err = m.SelectSeedsObjOn(base, k, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(label+" On", got)
-		if len(base.Seeds()) != 0 {
-			t.Fatalf("%s: SelectSeedsObjOn committed to its planner", label)
-		}
 		for parts := 1; parts <= 4; parts++ {
 			pp, err := m.NewPlanner().Partition(parts)
 			if err != nil {
@@ -134,11 +125,16 @@ func TestRivalOnlySelectionsUseBounds(t *testing.T) {
 }
 
 // TestConcurrentRivalOnlySelections races the lazy bound computation:
-// concurrent first rival-only selections on one planner all see the
-// same bounds and answer identically (-race checks the handoff).
+// concurrent first rival-only selections on one one-engine coordinator
+// (the serving shape of an unpartitioned model) all see the same bounds
+// and answer identically (-race checks the handoff).
 func TestConcurrentRivalOnlySelections(t *testing.T) {
 	m := Learn(Generate(tinyConfig(22)), Options{Lambda: 0.001})
 	base := m.NewPlanner()
+	pp, err := base.Partition(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	o := &Objective{Blocked: topSingletons(m, 2)}
 	want := fullPassSelection(base, 6, o)
 	results := make([]celf.Result, 4)
@@ -147,7 +143,7 @@ func TestConcurrentRivalOnlySelections(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := m.SelectSeedsObjOn(base, 6, o)
+			res, err := pp.SelectSeedsObj(m, 6, o)
 			if err != nil {
 				t.Error(err)
 			}

@@ -364,11 +364,14 @@ func TestLoadModelSnapshotLineageErrors(t *testing.T) {
 }
 
 // TestWriteSnapshotPlannerValidation covers the explicit-planner path the
-// serving layer uses to checkpoint its live planner.
+// serving layer uses to checkpoint its live one-engine coordinator.
 func TestWriteSnapshotPlannerValidation(t *testing.T) {
 	ds := Generate(tinyConfig(13))
 	model := Learn(ds, Options{Lambda: 0.001})
-	p := model.NewPlanner()
+	p, err := model.NewPlanner().Partition(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	path := filepath.Join(t.TempDir(), "model.bin")
 	f, err := os.Create(path)
@@ -394,14 +397,25 @@ func TestWriteSnapshotPlannerValidation(t *testing.T) {
 	}
 
 	// A planner from another model lineage is refused.
-	foreign := Learn(ds, Options{Lambda: 0.001})
-	if err := model.WriteSnapshot(io.Discard, foreign.NewPlanner(), nil); err == nil {
+	foreign, err := Learn(ds, Options{Lambda: 0.001}).NewPlanner().Partition(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := model.WriteSnapshot(io.Discard, foreign, nil); err == nil {
 		t.Error("foreign planner accepted")
 	}
-	// A planner with committed seeds is refused.
+	// A planner split into several partitions holds no full engine.
+	split, err := model.NewPlanner().Partition(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := model.WriteSnapshot(io.Discard, split, nil); err == nil {
+		t.Error("two-partition planner accepted")
+	}
+	// Committed seeds never reach a coordinator: Partition refuses them.
 	committed := model.NewPlanner()
 	committed.Add(s1[0])
-	if err := model.WriteSnapshot(io.Discard, committed, nil); err == nil {
+	if _, err := committed.Partition(1); err == nil {
 		t.Error("planner with committed seeds accepted")
 	}
 }

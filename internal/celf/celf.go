@@ -410,7 +410,7 @@ func (s *Selection) Grow(k int) Result {
 			}
 			batch = append(batch, e)
 		}
-		s.forEach(len(batch), func(i int) {
+		ForEach(s.workers, len(batch), func(i int) {
 			batch[i].gain = s.est.Gain(batch[i].node)
 			batch[i].key = s.keyOf(batch[i].node, batch[i].gain)
 			batch[i].round = round
@@ -481,7 +481,7 @@ func (s *Selection) buildHeap() {
 		return
 	}
 	round := len(s.seeds)
-	s.forEach(len(pool), func(i int) {
+	ForEach(s.workers, len(pool), func(i int) {
 		g := s.est.Gain(pool[i])
 		ents[i] = entry{node: pool[i], gain: g, key: s.keyOf(pool[i], g), round: round}
 	})
@@ -515,10 +515,14 @@ func (s *Selection) result() Result {
 	}
 }
 
-// forEach runs fn(0..n-1) over up to s.workers goroutines, written by
-// index; with one worker it is a plain loop.
-func (s *Selection) forEach(n int, fn func(i int)) {
-	workers := s.workers
+// ForEach runs fn(0..n-1) over up to workers goroutines (0 or less means
+// GOMAXPROCS), handing indices out from a shared counter; with one worker
+// it is a plain loop. Callers write results by index, so the schedule
+// never reorders a batch.
+func ForEach(workers, n int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}

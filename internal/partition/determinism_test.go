@@ -152,7 +152,7 @@ func TestPartitionCountDeterminism(t *testing.T) {
 					t.Fatalf("%s: %d partitions", name, got)
 				}
 
-				res := coord.NewSelection(celf.Options{Workers: workers}).Grow(k)
+				res := coord.NewSelection(nil, celf.Options{Workers: workers}).Grow(k)
 				for i := range ref.Seeds {
 					if res.Seeds[i] != ref.Seeds[i] {
 						t.Fatalf("%s: seed %d = %d, reference %d", name, i, res.Seeds[i], ref.Seeds[i])
@@ -162,7 +162,7 @@ func TestPartitionCountDeterminism(t *testing.T) {
 					}
 				}
 
-				gains, err := coord.Gains(nil, allUsers)
+				gains, err := coord.Gains(nil, allUsers, nil, nil)
 				if err != nil {
 					t.Fatalf("%s: Gains: %v", name, err)
 				}
@@ -171,7 +171,7 @@ func TestPartitionCountDeterminism(t *testing.T) {
 						t.Fatalf("%s: Gain(%d) not bit-identical: %b vs %b", name, u, gains[u], refGains[u])
 					}
 				}
-				based, err := coord.Gains(base, allUsers)
+				based, err := coord.Gains(base, allUsers, nil, nil)
 				if err != nil {
 					t.Fatalf("%s: Gains(base): %v", name, err)
 				}
@@ -181,7 +181,7 @@ func TestPartitionCountDeterminism(t *testing.T) {
 					}
 				}
 
-				spread, err := coord.Spread(ref.Seeds)
+				spread, err := coord.Spread(ref.Seeds, nil, nil)
 				if err != nil {
 					t.Fatalf("%s: Spread: %v", name, err)
 				}
@@ -255,7 +255,7 @@ func TestPartitionIngestParity(t *testing.T) {
 		}
 		for u := 0; u < newUsers; u++ {
 			want := fullRef.Gain(graph.NodeID(u))
-			got, err := grown.Gains(nil, []graph.NodeID{graph.NodeID(u)})
+			got, err := grown.Gains(nil, []graph.NodeID{graph.NodeID(u)}, nil, nil)
 			if err != nil {
 				t.Fatalf("Gains(%d): %v", u, err)
 			}
@@ -263,7 +263,7 @@ func TestPartitionIngestParity(t *testing.T) {
 				t.Fatalf("nparts=%d: post-ingest Gain(%d) not bit-identical: %b vs %b", nparts, u, got[0], want)
 			}
 		}
-		res := grown.NewSelection(celf.Options{}).Grow(5)
+		res := grown.NewSelection(nil, celf.Options{}).Grow(5)
 		refRes := seedsel.CELF(fullRef.Clone(), 5)
 		for i := range refRes.Seeds {
 			if res.Seeds[i] != refRes.Seeds[i] || res.Gains[i] != refRes.Gains[i] {
@@ -293,7 +293,7 @@ func TestPartitionCheckpointRestartParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	mid := first.NewSelection(celf.Options{}).Grow(k1)
+	mid := first.NewSelection(nil, celf.Options{}).Grow(k1)
 	prefix := celf.Prefix{Seeds: mid.Seeds, Gains: mid.Gains, LookupsAt: mid.LookupsAt}
 
 	// "Restart": reload the model as mmap slices at a different partition

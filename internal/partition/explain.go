@@ -17,7 +17,7 @@ import (
 // paths, answered by the partition owning x's row. The explained Gain is
 // bit-for-bit the coordinator's Gains value for x.
 func (c *Coordinator) ExplainSeed(x graph.NodeID, top int) (core.SeedExplanation, error) {
-	if err := c.checkNode("candidate", x); err != nil {
+	if err := c.checkNodes("candidate", x); err != nil {
 		return core.SeedExplanation{}, err
 	}
 	return c.parts[ownerIndex(c.ranges, x)].ExplainSeed(x, top), nil
@@ -29,13 +29,11 @@ func (c *Coordinator) ExplainSeed(x graph.NodeID, top int) (core.SeedExplanation
 // deterministic total order — so the merged answer is bit-identical to
 // the single-engine ExplainReach.
 func (c *Coordinator) ExplainReach(seeds []graph.NodeID, v graph.NodeID, top int) (core.ReachExplanation, error) {
-	if err := c.checkNode("target", v); err != nil {
+	if err := c.checkNodes("target", v); err != nil {
 		return core.ReachExplanation{}, err
 	}
-	for _, s := range seeds {
-		if err := c.checkNode("seed", s); err != nil {
-			return core.ReachExplanation{}, err
-		}
+	if err := c.checkNodes("seed", seeds...); err != nil {
+		return core.ReachExplanation{}, err
 	}
 	ex := core.ReachExplanation{Target: v, PerSeed: make([]core.ReachShare, 0, len(seeds))}
 	var paths []core.ProvPath

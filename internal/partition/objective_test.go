@@ -15,8 +15,8 @@ import (
 // non-default objectives: weighted, windowed, budgeted, and blocked
 // queries must be bit-identical across partition counts {1, 4} and
 // worker counts {1, GOMAXPROCS}, and identical to a single wrapped
-// engine. Default-objective calls through the Obj entry points must
-// route to the exact pre-objective paths.
+// engine. Default-objective (nil) calls must take the exact
+// pre-objective paths, bit-identical to the bare engine.
 func TestObjectivePartitionDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 84))
 	g, log := randomInstance(rng, 70, 45)
@@ -69,7 +69,7 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 		for _, r := range rival {
 			eng.Add(r)
 		}
-		// Grow, not Run: NewSelectionObj hands the caller a growable
+		// Grow, not Run: NewSelection hands the caller a growable
 		// selection, so the reference takes the same plain-greedy path.
 		return celf.NewSelection(eng, budOpts(1)).Grow(k)
 	}()
@@ -84,7 +84,7 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				t.Fatalf("%s: New: %v", name, err)
 			}
 
-			res := coord.NewSelectionObj(obj, celf.Options{Workers: workers}).Grow(k)
+			res := coord.NewSelection(obj, celf.Options{Workers: workers}).Grow(k)
 			for i := range ref.Seeds {
 				if res.Seeds[i] != ref.Seeds[i] || res.Gains[i] != ref.Gains[i] {
 					t.Fatalf("%s: objective seed %d: (%d, %b) vs (%d, %b)",
@@ -92,7 +92,7 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				}
 			}
 
-			gains, err := coord.GainsObj(nil, allUsers, obj, nil)
+			gains, err := coord.Gains(nil, allUsers, obj, nil)
 			if err != nil {
 				t.Fatalf("%s: GainsObj: %v", name, err)
 			}
@@ -102,11 +102,11 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				}
 			}
 
-			spread, err := coord.SpreadObj(ref.Seeds, obj, nil)
+			spread, err := coord.Spread(ref.Seeds, obj, nil)
 			if err != nil {
 				t.Fatalf("%s: SpreadObj: %v", name, err)
 			}
-			blockedSpread, err := coord.SpreadObj(ref.Seeds[2:], obj, rival)
+			blockedSpread, err := coord.Spread(ref.Seeds[2:], obj, rival)
 			if err != nil {
 				t.Fatalf("%s: SpreadObj(blocked): %v", name, err)
 			}
@@ -121,7 +121,7 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 				}
 			}
 
-			bud := coord.NewSelectionObj(obj, budOpts(workers)).Grow(k)
+			bud := coord.NewSelection(obj, budOpts(workers)).Grow(k)
 			for i := range refBudget.Seeds {
 				if i >= len(bud.Seeds) || bud.Seeds[i] != refBudget.Seeds[i] || bud.Gains[i] != refBudget.Gains[i] {
 					t.Fatalf("%s: budgeted blocked selection diverged at %d: %v vs %v",
@@ -139,34 +139,32 @@ func TestObjectivePartitionDeterminism(t *testing.T) {
 		t.Fatalf("telescoped objective spread %b != selection gain sum %b", refSpread, ref.Spread())
 	}
 
-	// The Obj entry points with the default objective are the pre-objective
-	// paths: bit-identical gains and spread.
+	// The default objective (nil) is the pre-objective path: gains and the
+	// telescoped spread are bit-identical to the bare single engine's.
 	coord, err := New(slicePartitions(t, full, 4), 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	wantGains, err := coord.Gains(nil, allUsers)
+	gotGains, err := coord.Gains(nil, allUsers, nil, nil)
 	if err != nil {
-		t.Fatalf("Gains: %v", err)
+		t.Fatalf("Gains(default): %v", err)
 	}
-	gotGains, err := coord.GainsObj(nil, allUsers, nil, nil)
-	if err != nil {
-		t.Fatalf("GainsObj(default): %v", err)
-	}
-	for u := range wantGains {
-		if wantGains[u] != gotGains[u] {
-			t.Fatalf("default GainsObj(%d) = %b, Gains = %b", u, gotGains[u], wantGains[u])
+	for u, x := range allUsers {
+		if want := full.Gain(x); gotGains[u] != want {
+			t.Fatalf("default Gains(%d) = %b, engine Gain = %b", u, gotGains[u], want)
 		}
 	}
-	wantSpread, err := coord.Spread(ref.Seeds)
+	gotSpread, err := coord.Spread(ref.Seeds, nil, nil)
 	if err != nil {
-		t.Fatalf("Spread: %v", err)
+		t.Fatalf("Spread(default): %v", err)
 	}
-	gotSpread, err := coord.SpreadObj(ref.Seeds, nil, nil)
-	if err != nil {
-		t.Fatalf("SpreadObj(default): %v", err)
+	eng := full.Clone()
+	wantSpread := 0.0
+	for _, s := range ref.Seeds {
+		wantSpread += eng.Gain(s)
+		eng.Add(s)
 	}
 	if wantSpread != gotSpread {
-		t.Fatalf("default SpreadObj = %b, Spread = %b", gotSpread, wantSpread)
+		t.Fatalf("default Spread = %b, engine telescoped %b", gotSpread, wantSpread)
 	}
 }

@@ -204,19 +204,34 @@ func (c *Coordinator) Stats() []Stats {
 	return out
 }
 
-// clone deep-copies every partition for a mutating query, wrapped as a
-// PartitionedEstimator carrying the coordinator's worker budget.
-func (c *Coordinator) cloneEstimator() *celf.PartitionedEstimator {
+// objPartition wraps an engine partition so the scatter-gather estimator
+// prices candidates under an objective. Only Gain changes: commits
+// (ExtractSeedRow/CommitSeedRow) are objective-independent — the
+// objective reweights how credit is valued, never how it flows — so the
+// whole partitioned commit path is reused verbatim, and with it the
+// bit-identity of non-default objectives across partition counts.
+type objPartition struct {
+	*core.Engine
+	obj *core.Objective
+}
+
+func (p objPartition) Gain(x graph.NodeID) float64 { return p.Engine.GainObj(x, p.obj) }
+
+// cloneEstimator clones every partition for a mutating query, wrapped as a
+// PartitionedEstimator carrying the coordinator's worker budget. Under a
+// non-default obj every clone prices gains with it; the default (nil)
+// leaves the clones bare, so default answers take the exact
+// pre-objective code path.
+func (c *Coordinator) cloneEstimator(obj *core.Objective) *celf.PartitionedEstimator {
 	clones := make([]celf.Partition, len(c.parts))
-	var wg sync.WaitGroup
-	for i, p := range c.parts {
-		wg.Add(1)
-		go func(i int, p *core.Engine) {
-			defer wg.Done()
-			clones[i] = p.Clone()
-		}(i, p)
-	}
-	wg.Wait()
+	celf.ForEach(len(c.parts), len(c.parts), func(i int) {
+		clone := c.parts[i].Clone()
+		if obj.IsDefault() {
+			clones[i] = clone
+		} else {
+			clones[i] = objPartition{Engine: clone, obj: obj}
+		}
+	})
 	pe, err := celf.NewPartitionedEstimator(clones, c.workers)
 	if err != nil {
 		// New validated the ranges and Clone preserves them.
@@ -225,31 +240,50 @@ func (c *Coordinator) cloneEstimator() *celf.PartitionedEstimator {
 	return pe
 }
 
-// checkNode rejects ids outside the universe before they reach a
+// commitSet commits every node of set not already in seen to the
+// estimator, discarding gains, and records it in seen. Used to pre-commit
+// a rival's seed set (and a query's base seeds) so later gains and
+// spreads are marginal over them.
+func commitSet(pe *celf.PartitionedEstimator, seen map[graph.NodeID]bool, set []graph.NodeID) {
+	for _, s := range set {
+		if !seen[s] {
+			seen[s] = true
+			pe.Add(s)
+		}
+	}
+}
+
+// checkNodes rejects ids outside the universe before they reach a
 // partition (where a routing miss is a panic, not an error).
-func (c *Coordinator) checkNode(kind string, x graph.NodeID) error {
-	if int(x) < 0 || int(x) >= c.numUsers {
-		return fmt.Errorf("partition: %s %d outside the universe [0,%d)", kind, x, c.numUsers)
+func (c *Coordinator) checkNodes(kind string, xs ...graph.NodeID) error {
+	for _, x := range xs {
+		if int(x) < 0 || int(x) >= c.numUsers {
+			return fmt.Errorf("partition: %s %d outside the universe [0,%d)", kind, x, c.numUsers)
+		}
 	}
 	return nil
 }
 
-// Spread computes sigma_cd(S) as the telescoped sum of marginal gains:
-// clone the partitions, then per seed in input order take its exact gain
-// from the owning partition and broadcast the commit. Duplicate seeds
-// contribute 0, matching the reference evaluator's dedup. The result is
-// the mathematically exact CD spread of the committed set and is
-// bit-identical across partition counts, worker counts, and row-store
-// backends — though not bit-identical to core.Evaluator.Spread, which
-// sums the same quantity in per-action order.
-func (c *Coordinator) Spread(seeds []graph.NodeID) (float64, error) {
-	for _, s := range seeds {
-		if err := c.checkNode("seed", s); err != nil {
-			return 0, err
-		}
+// Spread computes the conditional objective spread
+// sigma_obj(S | R) = sigma_obj(R+S) - sigma_obj(R) for rival set R
+// (blocked) as a telescoped sum of marginal gains: clone the partitions,
+// commit the rivals without counting their gains, then per seed in input
+// order take its exact gain (under obj; nil is the paper's sigma_cd) from
+// the owning partition and broadcast the commit. Duplicate seeds, and
+// seeds among the rivals, contribute 0, matching the reference
+// evaluator's dedup. The result is bit-identical across partition counts,
+// worker counts, and row-store backends — though not bit-identical to
+// core.Evaluator.Spread, which sums the same quantity in per-action order.
+func (c *Coordinator) Spread(seeds []graph.NodeID, obj *core.Objective, blocked []graph.NodeID) (float64, error) {
+	if err := c.checkNodes("seed", seeds...); err != nil {
+		return 0, err
 	}
-	pe := c.cloneEstimator()
-	seen := make(map[graph.NodeID]bool, len(seeds))
+	if err := c.checkNodes("blocked node", blocked...); err != nil {
+		return 0, err
+	}
+	pe := c.cloneEstimator(obj)
+	seen := make(map[graph.NodeID]bool, len(seeds)+len(blocked))
+	commitSet(pe, seen, blocked)
 	total := 0.0
 	for _, s := range seeds {
 		if seen[s] {
@@ -262,87 +296,92 @@ func (c *Coordinator) Spread(seeds []graph.NodeID) (float64, error) {
 	return total, nil
 }
 
-// Gains evaluates the marginal gain of every candidate against the given
-// base seed set: clone, commit the base seeds (scatter-gather, exact),
-// then fan the candidate evaluations over the partitions — each candidate
-// priced by its row's owner, results written by candidate index so worker
-// scheduling cannot reorder them. A candidate that is a committed base
-// seed gains 0, as in the single-engine path.
-func (c *Coordinator) Gains(base []graph.NodeID, candidates []graph.NodeID) ([]float64, error) {
-	for _, s := range base {
-		if err := c.checkNode("seed", s); err != nil {
-			return nil, err
-		}
+// Gains evaluates the marginal gain (under obj; nil is the default) of
+// every candidate against the given base seed set, marginal over the
+// blocked rivals too: clone, commit the rivals then the base seeds
+// (scatter-gather, exact), then fan the candidates over the worker budget
+// by index — each priced by its row's owner, results written by candidate
+// index so scheduling cannot reorder them. A candidate that is a
+// committed seed or rival gains 0, as in the single-engine path.
+func (c *Coordinator) Gains(base, candidates []graph.NodeID, obj *core.Objective, blocked []graph.NodeID) ([]float64, error) {
+	if err := c.checkNodes("seed", base...); err != nil {
+		return nil, err
 	}
-	for _, x := range candidates {
-		if err := c.checkNode("candidate", x); err != nil {
-			return nil, err
-		}
+	if err := c.checkNodes("candidate", candidates...); err != nil {
+		return nil, err
 	}
-	// With no base seeds nothing is committed, so the shared partitions
-	// answer read-only with no clone at all; otherwise clone and commit.
+	if err := c.checkNodes("blocked node", blocked...); err != nil {
+		return nil, err
+	}
+	// With nothing to commit the shared partitions answer read-only (Gain
+	// and GainObj are safe between commits) with no clone at all.
 	var pe *celf.PartitionedEstimator
-	if len(base) > 0 {
-		pe = c.cloneEstimator()
-		seen := make(map[graph.NodeID]bool, len(base))
-		for _, s := range base {
-			if seen[s] {
-				continue
-			}
-			seen[s] = true
-			pe.Add(s)
-		}
+	if len(base) > 0 || len(blocked) > 0 {
+		pe = c.cloneEstimator(obj)
+		seen := make(map[graph.NodeID]bool, len(base)+len(blocked))
+		commitSet(pe, seen, blocked)
+		commitSet(pe, seen, base)
 	}
 	out := make([]float64, len(candidates))
-	// Group by owning partition so each partition's candidates evaluate on
-	// one goroutine: Gain is read-only between commits, partitions are
-	// disjoint, and by-index writes keep the output order fixed.
-	groups := make([][]int, len(c.parts))
-	for i, x := range candidates {
-		pi := sort.Search(len(c.ranges), func(j int) bool { return c.ranges[j].Hi > int(x) })
-		groups[pi] = append(groups[pi], i)
-	}
-	var wg sync.WaitGroup
-	for pi, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
+	celf.ForEach(c.workers, len(candidates), func(i int) {
+		x := candidates[i]
+		if pe != nil {
+			out[i] = pe.Gain(x)
+		} else {
+			out[i] = c.parts[ownerIndex(c.ranges, x)].GainObj(x, obj)
 		}
-		wg.Add(1)
-		go func(pi int, idxs []int) {
-			defer wg.Done()
-			for _, i := range idxs {
-				if pe != nil {
-					out[i] = pe.Gain(candidates[i])
-				} else {
-					out[i] = c.parts[pi].Gain(candidates[i])
-				}
-			}
-		}(pi, idxs)
-	}
-	wg.Wait()
+	})
 	return out, nil
 }
 
-// NewSelection starts a CELF seed selection over fresh clones of the
-// partitions: the coordinator-side lazy-forward heap with a per-partition
-// parallel first-iteration pass (celf fans buildHeap over workers, each
-// Gain routed to its owner). Selections from the same coordinator are
-// independent and bit-identical to a single-engine selection.
-func (c *Coordinator) NewSelection(opts celf.Options) *celf.Selection {
+// selection clones an estimator for one CELF run under obj, with the
+// rivals in opts pre-committed — so every gain the selection sees is
+// marginal over the rival set (celf additionally excludes them from the
+// pool) — and the coordinator's worker budget as the default fan-out.
+func (c *Coordinator) selection(obj *core.Objective, opts celf.Options) (*celf.PartitionedEstimator, celf.Options) {
 	if opts.Workers == 0 {
 		opts.Workers = c.workers
 	}
-	return celf.NewSelection(c.cloneEstimator(), opts)
+	pe := c.cloneEstimator(obj)
+	commitSet(pe, make(map[graph.NodeID]bool, len(opts.Blocked)), opts.Blocked)
+	return pe, opts
 }
 
-// ResumeSelection continues a selection from a checkpointed seed prefix,
-// recommitting the prefix seeds scatter-gather and adopting the
-// checkpointed heap. Equivalent to celf.Resume on a single engine.
+// NewSelection starts a growable CELF seed selection under obj (nil: the
+// default) over fresh clones of the partitions: the coordinator-side
+// lazy-forward heap with a parallel first-iteration pass (celf fans
+// buildHeap over workers, each Gain routed to its owner). Selections from
+// the same coordinator are independent and bit-identical to a
+// single-engine selection.
+func (c *Coordinator) NewSelection(obj *core.Objective, opts celf.Options) *celf.Selection {
+	pe, opts := c.selection(obj, opts)
+	return celf.NewSelection(pe, opts)
+}
+
+// Select runs a complete CELF selection under obj via celf.Run —
+// including the budgeted best-affordable-singleton rule, which Grow-style
+// selections do not apply — over fresh clones. Single-engine and
+// partitioned selections are bit-identical because both are celf.Run over
+// estimators returning bit-identical gains.
+func (c *Coordinator) Select(obj *core.Objective, k int, opts celf.Options) celf.Result {
+	pe, opts := c.selection(obj, opts)
+	return celf.Run(pe, k, opts)
+}
+
+// ResumeSelection continues a default-objective selection from a
+// checkpointed seed prefix, recommitting the prefix seeds scatter-gather
+// and adopting the checkpointed heap. Equivalent to celf.Resume on a
+// single engine.
 func (c *Coordinator) ResumeSelection(prefix celf.Prefix, opts celf.Options) (*celf.Selection, error) {
 	if opts.Workers == 0 {
 		opts.Workers = c.workers
 	}
-	return celf.Resume(c.cloneEstimator(), prefix, opts)
+	return celf.Resume(c.cloneEstimator(nil), prefix, opts)
+}
+
+// ownerIndex returns the index of the range owning row x.
+func ownerIndex(ranges []Range, x graph.NodeID) int {
+	return sort.Search(len(ranges), func(j int) bool { return ranges[j].Hi > int(x) })
 }
 
 // Append builds a successor coordinator covering the combined log: each

@@ -130,6 +130,46 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 }
 
+// TestIngestCompactEveryPartitionCount pins /ingest's compact flag on the
+// one engine path: a compacting ingest folds the delta of every engine,
+// whether the coordinator wraps the whole model or two row-range
+// partitions, and /stats agrees with the ingest answer.
+func TestIngestCompactEveryPartitionCount(t *testing.T) {
+	nextAction := credist.ActionID(demoDataset().Log.NumActions())
+	batch := demoIngestBatch(t, nextAction)
+	for _, parts := range []int{0, 2} {
+		snap, err := serve.Build(serve.Source{Dataset: demoDataset(), Lambda: 0.001, Partitions: parts})
+		if err != nil {
+			t.Fatalf("partitions=%d: Build: %v", parts, err)
+		}
+		h := serve.New(snap).Handler()
+		body, _ := json.Marshal(map[string]any{"tuples": batch})
+		var ir serve.IngestResponse
+		getJSON(t, h, "POST", "/ingest", string(body), &ir)
+		if ir.DeltaActions != 1 || ir.DeltaEntries <= 0 {
+			t.Fatalf("partitions=%d: plain ingest delta %d entries / %d actions, want > 0 / 1",
+				parts, ir.DeltaEntries, ir.DeltaActions)
+		}
+		batch2 := []credist.Tuple{
+			{User: batch[0].User, Action: nextAction + 1, Time: 20},
+			{User: batch[1].User, Action: nextAction + 1, Time: 23},
+		}
+		body2, _ := json.Marshal(map[string]any{"tuples": batch2, "compact": true})
+		var ir2 serve.IngestResponse
+		getJSON(t, h, "POST", "/ingest", string(body2), &ir2)
+		var st serve.StatsResponse
+		getJSON(t, h, "GET", "/stats", "", &st)
+		if ir2.DeltaActions != 0 || ir2.DeltaEntries != 0 || st.DeltaActions != 0 || st.DeltaEntries != 0 {
+			t.Errorf("partitions=%d: compacting ingest left delta %d entries / %d actions (stats %d / %d)",
+				parts, ir2.DeltaEntries, ir2.DeltaActions, st.DeltaEntries, st.DeltaActions)
+		}
+		if st.Entries != ir2.Entries || st.BaseEntries != st.Entries {
+			t.Errorf("partitions=%d: stats entries %d (base %d), ingest reported %d",
+				parts, st.Entries, st.BaseEntries, ir2.Entries)
+		}
+	}
+}
+
 // TestIngestFromServerSideLog feeds the tail through a file path, the
 // shape `credist ingest` and the CI smoke test use.
 func TestIngestFromServerSideLog(t *testing.T) {

@@ -46,17 +46,38 @@ func bodyModuloSnapshot(t *testing.T, h http.Handler, method, target, body strin
 }
 
 // TestPartitionCountParityHTTP is the serve-layer face of the partition
-// determinism wall: the full HTTP responses of /spread (single and
-// batched), /gain, and /seeds must be identical — modulo the snapshot id —
-// whether the model is served by one partition or four. Float formatting
-// goes through the same encoder on both sides, so equal JSON here means
-// bit-identical float64s underneath.
+// determinism wall: the full HTTP responses of /gain, /seeds, and
+// /explain must be identical — modulo the snapshot id — whether the model
+// is served unpartitioned (one full engine behind the coordinator), by
+// one partition, or by four, before and after an ingest. /spread and
+// /topk answer from the evaluator when unpartitioned (summed in
+// per-action order), so they are held equal between 1 and 4 partitions
+// only. Float formatting goes through the same encoder on every side, so
+// equal JSON here means bit-identical float64s underneath.
 func TestPartitionCountParityHTTP(t *testing.T) {
+	whole := newTestServer(t).Handler()
 	one := newPartitionedServer(t, 1).Handler()
 	four := newPartitionedServer(t, 4).Handler()
-	requests := []struct {
-		method, target, body string
-	}{
+	type request struct{ method, target, body string }
+	compare := func(phase string, reqs []request) {
+		t.Helper()
+		for _, req := range reqs {
+			a := bodyModuloSnapshot(t, one, req.method, req.target, req.body)
+			b := bodyModuloSnapshot(t, four, req.method, req.target, req.body)
+			if a != b {
+				t.Errorf("%s: %s %s diverged between 1 and 4 partitions:\n  1: %s\n  4: %s",
+					phase, req.method, req.target, a, b)
+			}
+			if strings.HasPrefix(req.target, "/spread") || strings.HasPrefix(req.target, "/topk") {
+				continue
+			}
+			if w := bodyModuloSnapshot(t, whole, req.method, req.target, req.body); w != a {
+				t.Errorf("%s: %s %s diverged between unpartitioned and partitioned serving:\n  0: %s\n  1: %s",
+					phase, req.method, req.target, w, a)
+			}
+		}
+	}
+	requests := []request{
 		{"GET", "/spread?seeds=1,2,3", ""},
 		{"GET", "/spread?seeds=17", ""},
 		{"POST", "/spread", `{"sets":[[0,1],[5,6,7],[42]]}`},
@@ -65,23 +86,34 @@ func TestPartitionCountParityHTTP(t *testing.T) {
 		{"GET", "/seeds?k=5", ""},
 		{"GET", "/seeds?k=3", ""}, // prefix slice of the k=5 selection
 		{"GET", "/topk?method=highdeg&k=4", ""},
+		{"GET", "/explain?seed=4&top=5", ""},
+		{"GET", "/explain?seed=17", ""},
+		{"GET", "/explain?set=1,2,3&reach=7&top=5", ""},
+		{"GET", "/explain?set=40,2&reach=5", ""},
 		// Campaign objectives ride the same wall: targeted, windowed,
 		// blocked, and budgeted answers may not depend on the partition
 		// count either.
 		{"GET", "/spread?seeds=1,2&audience=4,5,6,7", ""},
 		{"GET", "/spread?seeds=1,2&window=25", ""},
 		{"GET", "/gain?candidates=4,5&seeds=1&blocked=2,3", ""},
+		{"GET", "/gain?candidates=4,5,6,7&seeds=1&audience=4,5,6,7,8,9", ""},
+		{"GET", "/gain?candidates=4,5,6&window=25", ""},
 		{"GET", "/seeds?k=3&audience=4,5,6,7", ""},
+		{"GET", "/seeds?k=3&window=25", ""},
+		{"GET", "/seeds?k=3&blocked=2,3", ""},
 		{"GET", "/seeds?k=3&costs=1:3,2:3&budget=2.5", ""},
 	}
-	for _, req := range requests {
-		a := bodyModuloSnapshot(t, one, req.method, req.target, req.body)
-		b := bodyModuloSnapshot(t, four, req.method, req.target, req.body)
-		if a != b {
-			t.Errorf("%s %s diverged between 1 and 4 partitions:\n  1: %s\n  4: %s",
-				req.method, req.target, a, b)
+	compare("fresh", requests)
+
+	// The ingest successors extend every engine the same way.
+	next := credist.ActionID(demoDataset().Log.NumActions())
+	body, _ := json.Marshal(map[string]any{"tuples": demoIngestBatch(t, next)})
+	for _, h := range []http.Handler{whole, one, four} {
+		if code, resp := do(t, h, "POST", "/ingest", string(body)); code != http.StatusOK {
+			t.Fatalf("/ingest: status %d: %v", code, resp)
 		}
 	}
+	compare("ingested", requests)
 }
 
 // TestStatsPartitionRows pins the /stats partition accounting: one row per

@@ -1171,7 +1171,7 @@ type SnapshotResponse struct {
 // never leaves a truncated snapshot at the requested path, and two
 // concurrent checkpoints to the same path cannot interleave into one file
 // (the later rename wins with a complete snapshot). Queries are never
-// blocked: the written planner is the immutable base the snapshot already
+// blocked: the written engine is the immutable one the snapshot already
 // serves from.
 func (s *Server) handleSnapshot(sn *Snapshot, r *http.Request) (any, error) {
 	var req snapshotRequest
@@ -1208,9 +1208,9 @@ func (s *Server) handleSnapshot(sn *Snapshot, r *http.Request) (any, error) {
 	}
 	tmp := f.Name()
 	// The computed seed prefix rides along: it was selected against
-	// exactly the base planner being written, so a restart from this file
+	// exactly the engine being written, so a restart from this file
 	// serves /seeds up to the same k without running CELF at all.
-	if err := sn.model.WriteSnapshot(f, sn.base, sn.checkpointPrefix()); err != nil {
+	if err := sn.model.WriteSnapshot(f, sn.parts, sn.checkpointPrefix()); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return nil, fmt.Errorf("snapshot: %v", err)

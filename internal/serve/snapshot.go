@@ -16,13 +16,13 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"credist"
+	"credist/internal/celf"
 	"credist/internal/seedsel"
 )
 
@@ -68,10 +68,12 @@ type Source struct {
 	SimpleCredit bool `json:"simple_credit,omitempty"`
 
 	// Partitions splits the model into N contiguous row-range engine
-	// partitions served behind a scatter-gather coordinator: /spread,
+	// partitions served behind the scatter-gather coordinator: /spread,
 	// /gain, and /seeds fan over the partitions and merge by summation,
 	// with answers bit-identical at every partition count. 0 (the default)
-	// serves the classic single-engine path. With ModelPath, slice files
+	// serves the whole model as one engine behind the same coordinator,
+	// with /spread and the approximate tier answered by the model itself
+	// (see Snapshot.Spread). With ModelPath, slice files
 	// ("<model>.slice-<i>-of-<N>") are written next to the model on first
 	// start and reopened directly — per-partition memory mappings when
 	// Mmap is set — on every start after.
@@ -87,8 +89,9 @@ type Source struct {
 	Dataset *credist.Dataset `json:"-"`
 }
 
-// partitioned reports whether the source asks for the scatter-gather
-// serving path at all (1 partition still exercises the coordinator).
+// partitioned reports whether the source asks for row-range partitions
+// (Partitions >= 1 or explicit slices) rather than one full engine; the
+// /spread and approximate-tier routes, and the stats shape, follow it.
 func (src Source) partitioned() bool {
 	return src.Partitions > 0 || len(src.SlicePaths) > 0
 }
@@ -208,10 +211,10 @@ func newSeedPrefix(res seedsel.Result, exhausted bool) *seedPrefix {
 
 // Snapshot is one learned model frozen for serving. All public methods are
 // safe for concurrent use: queries touch only immutable scan products (the
-// evaluator and the base planner, on which only the read-only Gain is ever
-// invoked), and seed selection runs on one growable per-snapshot selection
-// whose growth is serialized under a lock while reads slice the published
-// prefix lock-free.
+// evaluator and the coordinator's engines, which queries clone before
+// committing anything), and seed selection runs on one growable
+// per-snapshot selection whose growth is serialized under a lock while
+// reads slice the published prefix lock-free.
 type Snapshot struct {
 	// ID is assigned by the Registry; monotonically increasing per process.
 	ID int64
@@ -224,15 +227,11 @@ type Snapshot struct {
 	// than going through the model.
 	ds    *credist.Dataset
 	model *credist.Model
-	// base is the one scanned planner for this model. Its seed set stays
-	// empty forever — it is compacted (frozen) at build time, so requests
-	// that need to commit seeds Clone it by sharing shards and rely on the
-	// engine's copy-on-write to stay isolated. nil in partitioned mode,
-	// where parts takes its place.
-	base *credist.Planner
-	// parts is the scatter-gather coordinator over row-range engine
-	// partitions (nil on the single-engine path). Exactly one of base and
-	// parts is set on a healthy snapshot.
+	// parts is the one engine handle: the coordinator over row-range
+	// engine partitions, or over one full engine for an unpartitioned
+	// source. Its engines are frozen and never hold seeds, so requests
+	// that commit seeds clone them (shards shared, copy-on-write). nil
+	// only in the degraded state.
 	parts *credist.PartitionedPlanner
 	// partitionErr records a failed partition assembly: the snapshot is
 	// degraded — /healthz answers 503 and every model query 502 naming the
@@ -252,7 +251,7 @@ type Snapshot struct {
 	mappedBytes int64
 	rowStore    string
 
-	// Streaming-ingest lineage: delta shape of the base planner plus when
+	// Streaming-ingest lineage: delta shape of the engines plus when
 	// and how often this snapshot line has ingested since its last full
 	// build ({} for a freshly built or reloaded snapshot).
 	deltaEntries int64
@@ -280,13 +279,26 @@ type Snapshot struct {
 }
 
 // Build loads the source's dataset, learns (or restores) the model, and
-// obtains the scanned planner — from a single log scan, or, when
-// ModelPath names a binary snapshot, from a lineage-checked load that
-// scans only the log tail past the snapshot's recorded actions. The
-// returned snapshot has ID 0 until a Registry installs it.
+// assembles the coordinator it serves from — over one full engine scanned
+// once (or, when ModelPath names a binary snapshot, loaded with a
+// lineage check that scans only the log tail past the snapshot's
+// recorded actions), or over row-range partitions from explicit slice
+// files, slices next to the model file (written there on first start),
+// or an in-memory split. A failed partition assembly does not fail the
+// build — the snapshot comes back degraded with the error recorded, so
+// an embedded server can bind and answer /healthz with 503 instead of
+// crash-looping on one corrupt slice; the CLI checks PartitionErr and
+// refuses to start. The returned snapshot has ID 0 until a Registry
+// installs it.
 func Build(src Source) (*Snapshot, error) {
 	if src.Mmap && src.ModelPath == "" {
 		return nil, fmt.Errorf("mmap requires a model path (the mapping is the snapshot file)")
+	}
+	if src.Partitions > 0 && len(src.SlicePaths) > 0 && src.Partitions != len(src.SlicePaths) {
+		return nil, fmt.Errorf("partitions=%d contradicts the %d slice paths", src.Partitions, len(src.SlicePaths))
+	}
+	if src.ParamsPath != "" && src.ModelPath != "" {
+		return nil, fmt.Errorf("model and params are mutually exclusive")
 	}
 	ds, err := src.dataset()
 	if err != nil {
@@ -309,63 +321,47 @@ func Build(src Source) (*Snapshot, error) {
 		ds = &credist.Dataset{Name: ds.Name, Graph: ds.Graph, Log: grown}
 	}
 	opts := credist.Options{Lambda: src.Lambda, SimpleCredit: src.SimpleCredit}
-	if src.partitioned() {
-		return buildPartitioned(src, ds, opts)
-	}
-	var model *credist.Model
+	var (
+		model *credist.Model
+		parts *credist.PartitionedPlanner
+		paths []string
+		// tail counts the log actions the load appended past the model
+		// file (or slices), before anything folds them into the base.
+		tail int
+	)
 	switch {
-	case src.ModelPath != "":
-		if src.ParamsPath != "" {
-			return nil, fmt.Errorf("model and params are mutually exclusive")
-		}
-		if src.Mmap {
-			// The mapping is deliberately never unmapped: ingest successors
-			// and per-request clones keep sharing the still-mapped shards,
-			// and even after a /reload the replaced snapshot may be pinned
-			// by in-flight requests. One model file's mapping per process
-			// lifetime is the cost of never faulting a reader.
-			model, err = credist.LoadModelMapped(ds, src.ModelPath, opts)
-		} else {
-			model, err = credist.LoadModel(ds, src.ModelPath, opts)
-		}
-		if err != nil {
-			return nil, err
-		}
-	case src.ParamsPath != "":
-		model, err = credist.LoadModel(ds, src.ParamsPath, opts)
-		if err != nil {
-			return nil, err
-		}
+	case len(src.SlicePaths) > 0:
+		paths = src.SlicePaths
+		model, parts, err = credist.LoadPartitions(ds, paths, src.Mmap, opts)
+	case src.ModelPath != "" && src.partitioned():
+		model, parts, paths, err = credist.LoadModelPartitioned(ds, src.ModelPath, src.Partitions, src.Mmap, opts)
 	default:
-		model = credist.Learn(ds, opts)
+		if model, err = loadModel(src, ds, opts); err == nil {
+			base := model.NewPlanner()
+			tail = base.DeltaActions()
+			// Freeze the scan product: every shard becomes shared, so
+			// per-request clones copy an outer slice instead of the whole
+			// UC store.
+			base.Compact()
+			parts, err = base.Partition(src.Partitions)
+		}
 	}
-	base := model.NewPlanner()
-	// For a snapshot load the planner's delta is exactly the log tail the
-	// file had not scanned; record it before compaction folds it away.
-	tailActions := 0
-	if src.ModelPath != "" {
-		tailActions = base.DeltaActions()
+	if err != nil {
+		if !src.partitioned() {
+			return nil, err
+		}
+		return &Snapshot{LoadedAt: time.Now(), src: src, ds: ds, partitionErr: err}, nil
 	}
-	// Freeze the scan product: every shard becomes shared, so per-request
-	// planner clones copy an outer slice instead of the whole UC store.
-	base.Compact()
-	sn := &Snapshot{
-		LoadedAt:      time.Now(),
-		src:           src,
-		ds:            ds,
-		model:         model,
-		base:          base,
-		entries:       base.Entries(),
-		residentBytes: base.ResidentBytes(),
-		heapBytes:     base.HeapBytes(),
-		mappedBytes:   base.MappedBytes(),
-		rowStore:      base.RowStoreBackend(),
+	if len(paths) > 0 {
+		tail = parts.DeltaActions()
 	}
-	if src.ModelPath != "" {
-		sn.modelActions = base.NumActions() - tailActions
-		sn.tailActions = tailActions
+	sn := newSnapshot(src, model, parts)
+	sn.slicePaths = paths
+	if src.ModelPath != "" || len(src.SlicePaths) > 0 {
+		sn.modelActions = parts.NumActions() - tail
+		sn.tailActions = tail
 	}
-	// A seed prefix restored with the model (LoadModel drops it whenever a
+	// A seed prefix restored with the model (a load drops it whenever a
 	// log tail was appended, so it describes exactly this state) is
 	// published immediately: /seeds?k up to its length is served with zero
 	// CELF work from the first request on.
@@ -376,104 +372,72 @@ func Build(src Source) (*Snapshot, error) {
 			LookupsAt: pfx.LookupsAt,
 		}, false))
 	}
-	// The model's spread evaluator (the /spread and /topk path) builds
-	// lazily on first use. Kick that build off in the background so a
-	// snapshot-loaded server binds its port in milliseconds without the
-	// first spread query absorbing the whole propagation-DAG build; an
-	// earlier request simply waits on the same one-time build.
-	go func() { _ = sn.model.Spread(nil) }()
+	if !src.partitioned() {
+		// The model's spread evaluator (the unpartitioned /spread and
+		// /topk path) builds lazily on first use. Kick that build off in
+		// the background so a snapshot-loaded server binds its port in
+		// milliseconds without the first spread query absorbing the whole
+		// propagation-DAG build; an earlier request simply waits on the
+		// same one-time build.
+		go func() { _ = sn.model.Spread(nil) }()
+	}
 	return sn, nil
 }
 
-// buildPartitioned assembles a scatter-gather snapshot: a coordinator
-// over row-range engine partitions, from explicit slice files, a model
-// file (slices written next to it on first start, reopened after), or an
-// in-memory split of a freshly learned model. A failed partition assembly
-// does not fail the build — the snapshot comes back degraded with the
-// error recorded, so an embedded server can bind and answer /healthz with
-// 503 instead of crash-looping on one corrupt slice; the CLI checks
-// PartitionErr and refuses to start.
-func buildPartitioned(src Source, ds *credist.Dataset, opts credist.Options) (*Snapshot, error) {
-	if src.Partitions > 0 && len(src.SlicePaths) > 0 && src.Partitions != len(src.SlicePaths) {
-		return nil, fmt.Errorf("partitions=%d contradicts the %d slice paths", src.Partitions, len(src.SlicePaths))
-	}
-	if src.ParamsPath != "" && src.ModelPath != "" {
-		return nil, fmt.Errorf("model and params are mutually exclusive")
-	}
-	var (
-		model *credist.Model
-		parts *credist.PartitionedPlanner
-		paths []string
-		err   error
-	)
+// loadModel learns the source's model, or restores it from ModelPath (a
+// binary snapshot, memory-mapped with Mmap) or ParamsPath.
+func loadModel(src Source, ds *credist.Dataset, opts credist.Options) (*credist.Model, error) {
 	switch {
-	case len(src.SlicePaths) > 0:
-		paths = src.SlicePaths
-		model, parts, err = credist.LoadPartitions(ds, paths, src.Mmap, opts)
+	case src.ModelPath != "" && src.Mmap:
+		// The mapping is deliberately never unmapped: ingest successors
+		// and per-request clones keep sharing the still-mapped shards, and
+		// even after a /reload the replaced snapshot may be pinned by
+		// in-flight requests. One model file's mapping per process
+		// lifetime is the cost of never faulting a reader.
+		return credist.LoadModelMapped(ds, src.ModelPath, opts)
 	case src.ModelPath != "":
-		model, parts, paths, err = credist.LoadModelPartitioned(ds, src.ModelPath, src.Partitions, src.Mmap, opts)
+		return credist.LoadModel(ds, src.ModelPath, opts)
+	case src.ParamsPath != "":
+		return credist.LoadModel(ds, src.ParamsPath, opts)
 	default:
-		if src.ParamsPath != "" {
-			model, err = credist.LoadModel(ds, src.ParamsPath, opts)
-		} else {
-			model = credist.Learn(ds, opts)
-		}
-		if err == nil {
-			base := model.NewPlanner()
-			base.Compact()
-			parts, err = base.Partition(src.Partitions)
-		}
+		return credist.Learn(ds, opts), nil
 	}
-	if err != nil {
-		return &Snapshot{LoadedAt: time.Now(), src: src, ds: ds, partitionErr: err}, nil
-	}
-	sn := &Snapshot{
+}
+
+// newSnapshot wraps a model and the coordinator serving it, recording
+// the coordinator's shape for /stats.
+func newSnapshot(src Source, model *credist.Model, parts *credist.PartitionedPlanner) *Snapshot {
+	return &Snapshot{
 		LoadedAt:      time.Now(),
 		src:           src,
-		ds:            ds,
+		ds:            model.Dataset(),
 		model:         model,
 		parts:         parts,
-		slicePaths:    paths,
 		entries:       parts.Entries(),
 		residentBytes: parts.ResidentBytes(),
 		heapBytes:     parts.HeapBytes(),
 		mappedBytes:   parts.MappedBytes(),
 		rowStore:      parts.RowStoreBackend(),
 	}
-	if src.ModelPath != "" || len(src.SlicePaths) > 0 {
-		sn.modelActions = parts.NumActions() - parts.DeltaActions()
-		sn.tailActions = parts.DeltaActions()
-	}
-	if pfx := model.SeedPrefix(); pfx != nil && len(pfx.Seeds) > 0 {
-		sn.prefix.Store(newSeedPrefix(seedsel.Result{
-			Seeds:     pfx.Seeds,
-			Gains:     pfx.Gains,
-			LookupsAt: pfx.LookupsAt,
-		}, false))
-	}
-	// No evaluator warm-up goroutine: in partitioned mode /spread and
-	// /topk route through the coordinator, so the propagation-DAG build
-	// never happens unless an embedder calls Model.Spread directly.
-	return sn, nil
 }
 
 // Partitioned reports whether this snapshot serves (or was asked to
-// serve) the scatter-gather path.
-func (sn *Snapshot) Partitioned() bool { return sn.parts != nil || sn.partitionErr != nil }
+// serve) row-range partitions.
+func (sn *Snapshot) Partitioned() bool { return sn.src.partitioned() }
 
-// NumPartitions returns the partition count (0 on the single-engine path
-// and in the degraded state).
+// NumPartitions returns the partition count (0 for an unpartitioned
+// source and in the degraded state).
 func (sn *Snapshot) NumPartitions() int {
-	if sn.parts == nil {
+	if !sn.Partitioned() || sn.parts == nil {
 		return 0
 	}
 	return sn.parts.NumPartitions()
 }
 
 // PartitionStats returns per-partition accounting in partition order (nil
-// on the single-engine path).
+// for an unpartitioned source).
 func (sn *Snapshot) PartitionStats() []credist.PartitionStats {
-	if sn.parts == nil {
+	if !sn.Partitioned() || sn.parts == nil {
 		return nil
 	}
 	return sn.parts.Stats()
@@ -496,12 +460,13 @@ func (sn *Snapshot) partitionGate() error {
 
 // Ingest builds the successor snapshot extended with a batch of new
 // propagations, incrementally: the model's learned parameters stay
-// frozen, the base planner is cloned (frozen shards shared) and only the
-// appended action tail is scanned. The receiver keeps serving unchanged —
-// nothing it references is mutated — and the computed seed prefix is
-// invalidated simply by the successor starting with an empty selection.
-// compact additionally folds the accumulated delta into the frozen base
-// before the successor is published.
+// frozen, every engine is cloned (frozen shards shared) and scans only
+// its rows of the appended action tail, in parallel. The receiver keeps
+// serving unchanged — nothing it references is mutated — and the
+// computed seed prefix is invalidated simply by the successor starting
+// with an empty selection. compact additionally folds the accumulated
+// delta into every engine's frozen base before the successor is
+// published.
 func (sn *Snapshot) Ingest(tuples []credist.Tuple, compact bool) (*Snapshot, error) {
 	if err := sn.partitionGate(); err != nil {
 		return nil, err
@@ -510,68 +475,22 @@ func (sn *Snapshot) Ingest(tuples []credist.Tuple, compact bool) (*Snapshot, err
 	if err != nil {
 		return nil, err
 	}
-	if sn.parts != nil {
-		return sn.ingestPartitioned(model)
-	}
-	base, err := model.ExtendPlanner(sn.base)
-	if err != nil {
-		return nil, err
-	}
-	if compact {
-		base.Compact()
-	}
-	// Freeze before publishing: the successor's delta shards and per-user
-	// state go shared, so per-request planner clones stay cheap even when
-	// the operator never sends compact (Compact above already froze; this
-	// is then a no-op).
-	base.Freeze()
-	return &Snapshot{
-		LoadedAt:      time.Now(),
-		src:           sn.src,
-		ds:            model.Dataset(),
-		model:         model,
-		base:          base,
-		entries:       base.Entries(),
-		residentBytes: base.ResidentBytes(),
-		heapBytes:     base.HeapBytes(),
-		mappedBytes:   base.MappedBytes(),
-		rowStore:      base.RowStoreBackend(),
-		deltaEntries:  base.DeltaEntries(),
-		deltaActions:  base.DeltaActions(),
-		ingests:       sn.ingests + 1,
-		lastIngest:    time.Now(),
-		modelActions:  sn.modelActions,
-		tailActions:   sn.tailActions,
-	}, nil
-}
-
-// ingestPartitioned derives the partitioned successor: every partition
-// clones and scans only its rows of the appended tail, in parallel, and
-// the coordinator over the new set replaces the old one atomically.
-func (sn *Snapshot) ingestPartitioned(model *credist.Model) (*Snapshot, error) {
 	parts, err := sn.parts.Extend(model)
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{
-		LoadedAt:      time.Now(),
-		src:           sn.src,
-		ds:            model.Dataset(),
-		model:         model,
-		parts:         parts,
-		slicePaths:    sn.slicePaths,
-		entries:       parts.Entries(),
-		residentBytes: parts.ResidentBytes(),
-		heapBytes:     parts.HeapBytes(),
-		mappedBytes:   parts.MappedBytes(),
-		rowStore:      parts.RowStoreBackend(),
-		deltaEntries:  parts.DeltaEntries(),
-		deltaActions:  parts.DeltaActions(),
-		ingests:       sn.ingests + 1,
-		lastIngest:    time.Now(),
-		modelActions:  sn.modelActions,
-		tailActions:   sn.tailActions,
-	}, nil
+	if compact {
+		parts.Compact()
+	}
+	next := newSnapshot(sn.src, model, parts)
+	next.slicePaths = sn.slicePaths
+	next.deltaEntries = parts.DeltaEntries()
+	next.deltaActions = parts.DeltaActions()
+	next.ingests = sn.ingests + 1
+	next.lastIngest = next.LoadedAt
+	next.modelActions = sn.modelActions
+	next.tailActions = sn.tailActions
+	return next, nil
 }
 
 // SaveSlices checkpoints the partitioned model as one snapshot-slice file
@@ -581,7 +500,7 @@ func (sn *Snapshot) SaveSlices(paths []string) error {
 	if err := sn.partitionGate(); err != nil {
 		return err
 	}
-	if sn.parts == nil {
+	if !sn.Partitioned() {
 		return fmt.Errorf("not a partitioned snapshot")
 	}
 	return sn.parts.SaveSlices(sn.model, sn.checkpointPrefix(), paths)
@@ -598,7 +517,7 @@ func (sn *Snapshot) Dataset() *credist.Dataset {
 // Model returns the underlying learned model.
 func (sn *Snapshot) Model() *credist.Model { return sn.model }
 
-// Entries returns the live UC credit-entry count of the base planner.
+// Entries returns the live UC credit-entry count summed over the engines.
 func (sn *Snapshot) Entries() int64 { return sn.entries }
 
 // BaseEntries returns the UC entries in the frozen base shards.
@@ -629,7 +548,7 @@ func (sn *Snapshot) HeapBytes() int64 { return sn.heapBytes }
 // memory-mapped snapshot file (zero unless the source set Mmap).
 func (sn *Snapshot) MappedBytes() int64 { return sn.mappedBytes }
 
-// RowStoreBackend reports how the base planner's shards are served:
+// RowStoreBackend reports how the engines' shards are served:
 // "mmap" while any shard still aliases the mapped snapshot file, "heap"
 // otherwise.
 func (sn *Snapshot) RowStoreBackend() string { return sn.rowStore }
@@ -637,15 +556,18 @@ func (sn *Snapshot) RowStoreBackend() string { return sn.rowStore }
 // NumUsers returns the user-universe size, the bound for node-id inputs.
 func (sn *Snapshot) NumUsers() int { return sn.Dataset().NumUsers() }
 
-// Spread evaluates sigma_cd for one seed set. On the partitioned path the
-// coordinator telescopes exact per-seed gains (bit-identical at every
-// partition count, though summed in a different order than the
-// single-engine evaluator); degraded partitioned snapshots answer 502.
+// Spread evaluates sigma_cd for one seed set. A partitioned source asks
+// the coordinator, which telescopes exact per-seed gains (bit-identical
+// at every partition count, though summed in a different order than the
+// evaluator, and over the lambda-truncated credits); an unpartitioned one
+// asks the model's per-action evaluator, the paper's untruncated
+// sigma_cd, bit-identical to the offline Model.Spread. Degraded
+// partitioned snapshots answer 502.
 func (sn *Snapshot) Spread(seeds []credist.NodeID) (float64, error) {
 	if err := sn.partitionGate(); err != nil {
 		return 0, err
 	}
-	if sn.parts != nil {
+	if sn.Partitioned() {
 		return sn.parts.Spread(seeds)
 	}
 	return sn.model.Spread(seeds), nil
@@ -663,7 +585,7 @@ func (sn *Snapshot) ApproxSpread(seeds []credist.NodeID, opts credist.ApproxOpti
 	if err := sn.partitionGate(); err != nil {
 		return credist.ApproxResult{}, err
 	}
-	if sn.parts != nil {
+	if sn.Partitioned() {
 		res, ok, err := sn.model.ApproxSpreadFixed(seeds)
 		if err != nil {
 			return credist.ApproxResult{}, err
@@ -683,7 +605,7 @@ func (sn *Snapshot) ApproxSeeds(k int, opts credist.ApproxOptions) ([]credist.No
 	if err := sn.partitionGate(); err != nil {
 		return nil, credist.ApproxResult{}, err
 	}
-	if sn.parts != nil {
+	if sn.Partitioned() {
 		seeds, res, ok, err := sn.model.ApproxSeedsFixed(k)
 		if err != nil {
 			return nil, credist.ApproxResult{}, err
@@ -719,7 +641,7 @@ func (sn *Snapshot) SpreadBatch(sets [][]credist.NodeID) ([]float64, error) {
 	}
 	out := make([]float64, len(sets))
 	errs := make([]error, len(sets))
-	forEach(len(sets), func(i int) { out[i], errs[i] = sn.Spread(sets[i]) })
+	celf.ForEach(0, len(sets), func(i int) { out[i], errs[i] = sn.Spread(sets[i]) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -729,28 +651,16 @@ func (sn *Snapshot) SpreadBatch(sets [][]credist.NodeID) ([]float64, error) {
 }
 
 // Gains returns the marginal gain of each candidate against the base seed
-// set, batched. With an empty base the shared scanned planner (or the
-// shared partitions) answers directly (Gain is read-only); otherwise the
-// base state is cloned and the seeds committed to the clone. Either way
-// every value is bit-identical to credist.Model.Gains on the same
+// set, batched. With an empty base the shared engines answer directly
+// (Gain is read-only); otherwise they are cloned and the seeds committed
+// to the clones. Either way the candidates fan over the cores by index,
+// and every value is bit-identical to credist.Model.Gains on the same
 // arguments, at any partition count.
 func (sn *Snapshot) Gains(base, candidates []credist.NodeID) ([]float64, error) {
 	if err := sn.partitionGate(); err != nil {
 		return nil, err
 	}
-	if sn.parts != nil {
-		return sn.parts.Gains(base, candidates)
-	}
-	p := sn.base
-	if len(base) > 0 {
-		p = sn.base.Clone()
-		for _, s := range base {
-			p.Add(s)
-		}
-	}
-	out := make([]float64, len(candidates))
-	forEach(len(candidates), func(i int) { out[i] = p.Gain(candidates[i]) })
-	return out, nil
+	return sn.parts.Gains(base, candidates)
 }
 
 // SelectSeeds answers a CELF seed selection for k seeds from the
@@ -780,33 +690,22 @@ func (sn *Snapshot) SelectSeeds(k int) (res *SeedsResult, cached bool, err error
 	if sn.seedSel == nil {
 		// First growth: resume from the restored prefix when there is one
 		// (committing its seeds costs k Adds, no gain evaluations), start
-		// fresh otherwise. The selection clones sn.base — the snapshot's
-		// own (possibly ingest-extended) planner, shards shared — never
-		// the model's lazy base, which for an ingest-grown model would be
-		// a second from-scratch scan of the combined log; and it owns the
-		// clone, so Engine.Add never touches the shared base. On the
-		// partitioned path the same resume runs scatter-gather over fresh
-		// partition clones, bit-identical to the single-engine selection.
+		// fresh otherwise. The selection clones the snapshot's own
+		// (possibly ingest-extended) engines, shards shared — never the
+		// model's lazy base, which for an ingest-grown model would be a
+		// second from-scratch scan of the combined log — and owns the
+		// clones, so its commits never touch the shared engines. The
+		// result is bit-identical at every partition count.
 		var restored *credist.SeedPrefix
 		if pv := sn.prefix.Load(); pv != nil {
 			restored = &credist.SeedPrefix{Seeds: pv.seeds, Gains: pv.gains, LookupsAt: pv.lookupsAt}
 		}
-		var sel *credist.GrowableSelection
-		var rerr error
-		if sn.parts != nil {
-			sel, rerr = sn.parts.ResumeSelection(restored)
-		} else {
-			sel, rerr = sn.base.ResumeSelection(restored)
-		}
-		if rerr != nil {
+		sel, err := sn.parts.ResumeSelection(restored)
+		if err != nil {
 			// A published prefix always comes from this snapshot's model,
 			// so Resume cannot reject it; recover into a fresh selection
 			// regardless.
-			if sn.parts != nil {
-				sel = sn.parts.NewSelection()
-			} else {
-				sel = sn.base.NewSelection()
-			}
+			sel = sn.parts.NewSelection()
 		}
 		sn.seedSel = sel
 	}
@@ -819,31 +718,28 @@ func (sn *Snapshot) SelectSeeds(k int) (res *SeedsResult, cached bool, err error
 
 // SpreadObj is Spread under a campaign objective (audience weights, time
 // window, blocked rivals): sigma_obj(S | blocked), routed to the
-// scatter-gather coordinator or the exact evaluator exactly as Spread is.
+// coordinator or the exact evaluator exactly as Spread is.
 // Handlers route default-objective requests to Spread instead, so this
 // path never touches (and can never perturb) the default answers.
 func (sn *Snapshot) SpreadObj(seeds []credist.NodeID, o *credist.Objective) (float64, error) {
 	if err := sn.partitionGate(); err != nil {
 		return 0, err
 	}
-	if sn.parts != nil {
+	if sn.Partitioned() {
 		return sn.parts.SpreadObj(sn.model, seeds, o)
 	}
 	return sn.model.SpreadObj(seeds, o)
 }
 
 // GainsObj is Gains under a campaign objective: marginal objective gains
-// over base with the objective's blocked rivals committed first. The
-// single-engine path evaluates over this snapshot's own (possibly
-// ingest-extended) base planner, never the model's lazy base.
+// over base with the objective's blocked rivals committed first,
+// evaluated over this snapshot's own (possibly ingest-extended) engines,
+// never the model's lazy base.
 func (sn *Snapshot) GainsObj(base, candidates []credist.NodeID, o *credist.Objective) ([]float64, error) {
 	if err := sn.partitionGate(); err != nil {
 		return nil, err
 	}
-	if sn.parts != nil {
-		return sn.parts.GainsObj(sn.model, base, candidates, o)
-	}
-	return sn.model.GainsObjOn(sn.base, base, candidates, o)
+	return sn.parts.GainsObj(sn.model, base, candidates, o)
 }
 
 // SelectSeedsObj runs seed selection under a campaign objective —
@@ -858,13 +754,7 @@ func (sn *Snapshot) SelectSeedsObj(k int, o *credist.Objective) (*SeedsResult, e
 	if err := sn.partitionGate(); err != nil {
 		return nil, err
 	}
-	var res seedsel.Result
-	var err error
-	if sn.parts != nil {
-		res, err = sn.parts.SelectSeedsObj(sn.model, k, o)
-	} else {
-		res, err = sn.model.SelectSeedsObjOn(sn.base, k, o)
-	}
+	res, err := sn.parts.SelectSeedsObj(sn.model, k, o)
 	if err != nil {
 		return nil, err
 	}
@@ -879,39 +769,35 @@ func (sn *Snapshot) SelectSeedsObj(k int, o *credist.Objective) (*SeedsResult, e
 }
 
 // ExplainSeed decomposes candidate x's marginal gain (against this
-// snapshot's live base state) into its top credit paths. The explained
-// Gain is bit-for-bit the snapshot's Gains(nil, {x}) value. On the
-// partitioned path the owner of x's row answers alone — credit paths are
-// partitioned by influencer row, so no gather is needed; degraded
-// partitioned snapshots answer 502.
+// snapshot's live engines) into its top credit paths. The explained Gain
+// is bit-for-bit the snapshot's Gains(nil, {x}) value. The engine owning
+// x's row answers alone — credit paths are partitioned by influencer row,
+// so no gather is needed; degraded partitioned snapshots answer 502.
 func (sn *Snapshot) ExplainSeed(x credist.NodeID, top int) (credist.SeedExplanation, error) {
 	if err := sn.partitionGate(); err != nil {
 		return credist.SeedExplanation{}, err
 	}
-	if sn.parts != nil {
-		return sn.parts.ExplainSeed(x, top)
-	}
-	return sn.model.ExplainSeedOn(sn.base, x, top), nil
+	return sn.parts.ExplainSeed(x, top)
 }
 
 // ExplainReach decomposes the credit the given seed set pushes onto
 // target v: per-seed shares in request order whose fixed-order fold is
-// bit-exactly the returned Total, plus the top contributing paths. On the
-// partitioned path each seed's share comes wholly from its row's owner
-// and the gathered answer is bit-identical to the single-engine one.
+// bit-exactly the returned Total, plus the top contributing paths. Each
+// seed's share comes wholly from the engine owning its row, walked
+// directly — never from the model's provenance index, which would need a
+// rescan of the combined log after an ingest — and the gathered answer is
+// bit-identical to the offline Model.ExplainReach at any partition count.
 func (sn *Snapshot) ExplainReach(seeds []credist.NodeID, v credist.NodeID, top int) (credist.ReachExplanation, error) {
 	if err := sn.partitionGate(); err != nil {
 		return credist.ReachExplanation{}, err
 	}
-	if sn.parts != nil {
-		return sn.parts.ExplainReach(seeds, v, top)
-	}
-	return sn.model.ExplainReachOn(sn.base, seeds, v, top), nil
+	return sn.parts.ExplainReach(seeds, v, top)
 }
 
-// ProvStats reports the model's provenance index for /stats (all zero in
-// the degraded state, and on partitioned deployments, which explain by
-// walking each partition's own rows instead of an index).
+// ProvStats reports the model's provenance index for /stats: an index
+// restored with the model, carried forward for checkpoints (all zero in
+// the degraded state, and when none was restored — serving explains by
+// walking the engines' own rows and never builds one).
 func (sn *Snapshot) ProvStats() credist.ProvStats {
 	if sn.model == nil {
 		return credist.ProvStats{}
@@ -975,37 +861,6 @@ func (sn *Snapshot) TopK(method string, k int) ([]credist.NodeID, float64, error
 		return nil, 0, err
 	}
 	return seeds, spread, nil
-}
-
-// forEach runs fn(0..n-1) over up to GOMAXPROCS goroutines. Results are
-// written by index, so parallelism never reorders a batch.
-func forEach(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				fn(int(i))
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Registry hands out the current snapshot and swaps in replacements

@@ -59,9 +59,9 @@ type Model struct {
 	// action's first participation — what time-windowed objectives gate
 	// on. Derived from the log alone, at most once per model.
 	delays func() *core.ActionDelays
-	// bounds holds the base engine's singleton gains for rival-only
-	// selections (objective.go), computed on the first one.
-	bounds singletonBounds
+	// coord wraps the base engine in a one-engine coordinator, lazily: the
+	// query path objective gains and selections share with serving.
+	coord func() *PartitionedPlanner
 }
 
 // Close releases the file mapping behind a model opened with
@@ -90,6 +90,7 @@ func newModel(ds *Dataset, opts Options, credit core.CreditModel) *Model {
 		e.Compact()
 		return e
 	})
+	m.coord = sync.OnceValue(func() *PartitionedPlanner { return wrapEngine(m.base()) })
 	m.delays = sync.OnceValue(func() *core.ActionDelays {
 		return core.BuildActionDelays(ds.Log)
 	})
@@ -252,71 +253,39 @@ func (m *Model) RecordSeedPrefix(res seedsel.Result) {
 	}
 }
 
-// GrowableSelection is a prefix-incremental CELF run bound to its own
-// planner clone: Grow(k) extends the committed selection to k seeds,
-// keeping the lazy-forward heap across calls, so after Grow(50) any
-// k <= 50 is answered from the recorded arrays and Grow(60) pays only the
-// marginal work. Not safe for concurrent use; the serving layer
-// serializes Grow and publishes immutable copies for readers.
+// GrowableSelection is a prefix-incremental CELF run over its own engine
+// clones: Grow(k) extends the committed selection to k seeds, keeping the
+// lazy-forward heap across calls, so after Grow(50) any k <= 50 is
+// answered from the recorded arrays and Grow(60) pays only the marginal
+// work. Not safe for concurrent use; the serving layer serializes Grow
+// and publishes immutable copies for readers.
 type GrowableSelection struct {
-	p   *Planner
 	sel *celf.Selection
 }
 
 // NewSelection starts an empty growable selection over a fresh planner
 // clone of the model's scanned engine.
 func (m *Model) NewSelection() *GrowableSelection {
-	return newGrowableSelection(m.NewPlanner())
+	p := m.NewPlanner()
+	return &GrowableSelection{sel: celf.NewSelection(p.eng, celf.Options{Workers: p.eng.Workers()})}
 }
 
 // ResumeSelection rebuilds a growable selection from a previously
-// computed prefix (typically the model's own restored SeedPrefix): the
-// prefix seeds are committed without any gain evaluations, and the first
-// Grow past the prefix pays one fresh gain pass to rebuild the heap.
-// Seeds and gains of the continuation are bit-identical to a continuous
-// run.
+// computed prefix (typically the model's own restored SeedPrefix; nil
+// starts fresh): the prefix seeds are committed without any gain
+// evaluations, and the first Grow past the prefix pays one fresh gain
+// pass to rebuild the heap. Seeds and gains of the continuation are
+// bit-identical to a continuous run.
 func (m *Model) ResumeSelection(prefix *SeedPrefix) (*GrowableSelection, error) {
-	return resumeGrowableSelection(m.NewPlanner(), prefix)
-}
-
-// NewSelection starts an empty growable selection over a clone of this
-// planner — shards shared, copy-on-write isolating the selection's Adds.
-// This is how a serving layer grows selections off its incrementally
-// extended base planner instead of forcing a second from-scratch scan
-// out of the model.
-func (p *Planner) NewSelection() *GrowableSelection {
-	return newGrowableSelection(p.Clone())
-}
-
-// ResumeSelection is NewSelection continuing from a previously computed
-// prefix; see Model.ResumeSelection. A receiver holding committed seeds
-// is rejected: a prefix describes a selection from an empty seed set.
-func (p *Planner) ResumeSelection(prefix *SeedPrefix) (*GrowableSelection, error) {
-	return resumeGrowableSelection(p.Clone(), prefix)
-}
-
-// newGrowableSelection wraps a selection around a planner the caller
-// hands over (the selection owns and mutates it).
-func newGrowableSelection(p *Planner) *GrowableSelection {
-	return &GrowableSelection{p: p, sel: celf.NewSelection(p.eng, celf.Options{Workers: p.eng.Workers()})}
-}
-
-func resumeGrowableSelection(p *Planner, prefix *SeedPrefix) (*GrowableSelection, error) {
 	if prefix == nil {
-		return newGrowableSelection(p), nil
+		return m.NewSelection(), nil
 	}
-	// Same precondition WriteSnapshotPrefix enforces for its engine: a
-	// prefix describes a selection from an empty seed set, so replaying it
-	// on a planner with committed seeds would silently double-commit any
-	// overlap and report gains from a state that never existed.
-	if committed := p.Seeds(); len(committed) > 0 {
-		return nil, fmt.Errorf("credist: cannot resume a seed prefix on a planner with %d committed seeds", len(committed))
-	}
+	p := m.NewPlanner()
 	sel, err := celf.Resume(p.eng, *prefix, celf.Options{Workers: p.eng.Workers()})
 	if err != nil {
 		return nil, err
 	}
-	return &GrowableSelection{p: p, sel: sel}, nil
+	return &GrowableSelection{sel: sel}, nil
 }
 
 // Grow extends the selection to at most k seeds and returns the full
@@ -331,12 +300,6 @@ func (s *GrowableSelection) Len() int { return s.sel.Len() }
 // can add seeds.
 func (s *GrowableSelection) Exhausted() bool { return s.sel.Exhausted() }
 
-// Planner exposes the selection's owned planner for inspection (entries,
-// resident bytes, delta accounting). Mutating it corrupts the selection;
-// it is read-only by contract. Selections grown from a PartitionedPlanner
-// have no single planner and return nil.
-func (s *GrowableSelection) Planner() *Planner { return s.p }
-
 // Planner is the stateful side of the model: the scanned UC credit
 // structure of Algorithm 2 plus the committed seed set. Gain is read-only
 // (and safe to call from many goroutines at once); Add and Select mutate.
@@ -346,9 +309,6 @@ func (s *GrowableSelection) Planner() *Planner { return s.p }
 // seed-selection requests.
 type Planner struct {
 	eng *core.Engine
-	// bounds holds this planner's singleton gains for the rival-only
-	// selections SelectSeedsObjOn runs over its clones (objective.go).
-	bounds singletonBounds
 }
 
 // NewPlanner returns a planner with an empty seed set over the model's
@@ -505,31 +465,30 @@ func (m *Model) Save(path string) error {
 	return f.Close()
 }
 
-// WriteSnapshot streams the binary snapshot to w. p selects the scanned
-// planner to serialize — it must belong to this model's lineage (same
-// credit parameters and truncation threshold), cover exactly the model's
-// log, and hold no committed seeds; nil uses the model's own base scan.
-// Passing an explicit planner is how a serving layer checkpoints its live
-// (possibly ingest-extended) planner without a second scan. prefix, if
-// non-nil, is the computed seed prefix to persist alongside the engine —
-// it must have been selected against exactly the state being written
-// (this model's parameters over the planner's log), or a restart would
-// serve seeds the restored model never chose.
-func (m *Model) WriteSnapshot(w io.Writer, p *Planner, prefix *SeedPrefix) error {
-	eng := (*core.Engine)(nil)
-	if p == nil {
+// WriteSnapshot streams the binary snapshot to w. pp selects the scanned
+// state to serialize — it must hold one full engine (a one-engine
+// coordinator, as a serving layer keeps for an unpartitioned model)
+// belonging to this model's lineage (same credit parameters and
+// truncation threshold) and covering exactly the model's log; nil uses
+// the model's own base scan. Passing the serving planner is how a server
+// checkpoints its live (possibly ingest-extended) state without a second
+// scan. prefix, if non-nil, is the computed seed prefix to persist
+// alongside the engine — it must have been selected against exactly the
+// state being written (this model's parameters over the planner's log),
+// or a restart would serve seeds the restored model never chose.
+func (m *Model) WriteSnapshot(w io.Writer, pp *PartitionedPlanner, prefix *SeedPrefix) error {
+	var eng *core.Engine
+	if pp == nil {
 		eng = m.base()
 	} else {
-		if p.eng.CreditModel() != m.credit {
-			return fmt.Errorf("credist: planner was scanned with different credit parameters than this model")
+		engines := pp.coord.Engines()
+		if len(engines) != 1 {
+			return fmt.Errorf("credist: planner holds %d partitions, a full snapshot needs one engine (write slices with SaveSlices)", len(engines))
 		}
-		if pl, ml := p.eng.Lambda(), m.opts.Lambda; pl != ml {
-			return fmt.Errorf("credist: planner was scanned with lambda %g, model uses %g", pl, ml)
+		if err := m.checkLineage(engines[0]); err != nil {
+			return err
 		}
-		if pn, ln := p.NumActions(), m.ds.Log.NumActions(); pn != ln {
-			return fmt.Errorf("credist: planner covers %d actions, model's log holds %d", pn, ln)
-		}
-		eng = p.eng
+		eng = engines[0]
 	}
 	// The RR sketch and provenance index ride along whenever their tiers
 	// hold one: both are derived over exactly the model's log, and the
@@ -538,6 +497,22 @@ func (m *Model) WriteSnapshot(w io.Writer, p *Planner, prefix *SeedPrefix) error
 	// stays 3 when there is no section, keeping sectionless files
 	// byte-identical).
 	return eng.WriteSnapshotProv(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, m.approxSketch(), m.provForSave())
+}
+
+// checkLineage rejects a scanned engine that does not belong to this
+// model's state: other credit parameters or truncation threshold, or a
+// scan of a different number of actions than the model's log holds.
+func (m *Model) checkLineage(eng *core.Engine) error {
+	if eng.CreditModel() != m.credit {
+		return fmt.Errorf("credist: planner was scanned with different credit parameters than this model")
+	}
+	if pl, ml := eng.Lambda(), m.opts.Lambda; pl != ml {
+		return fmt.Errorf("credist: planner was scanned with lambda %g, model uses %g", pl, ml)
+	}
+	if pn, ln := eng.NumActions(), m.ds.Log.NumActions(); pn != ln {
+		return fmt.Errorf("credist: planner covers %d actions, model's log holds %d", pn, ln)
+	}
+	return nil
 }
 
 // IsModelSnapshot reports whether data (at least the first 8 bytes of a

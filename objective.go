@@ -3,9 +3,7 @@ package credist
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"credist/internal/celf"
 	"credist/internal/core"
@@ -180,8 +178,9 @@ func (m *Model) SpreadObj(seeds []NodeID, o *Objective) (float64, error) {
 // GainsObj is Gains under an objective: each candidate's marginal
 // objective gain against the base seed set, with the objective's blocked
 // rivals committed first so every gain is marginal over the rival set
-// too. The default objective is exactly Gains, bit for bit. Costs and
-// budget are rejected here.
+// too. The default objective is exactly Gains, bit for bit; others run on
+// the model's one-engine coordinator, bit-identical at every worker and
+// partition count. Costs and budget are rejected here.
 func (m *Model) GainsObj(base, candidates []NodeID, o *Objective) ([]float64, error) {
 	cobj, err := m.coreObjective(o, false)
 	if err != nil {
@@ -197,140 +196,7 @@ func (m *Model) GainsObj(base, candidates []NodeID, o *Objective) ([]float64, er
 	if o.evalDefault() {
 		return m.Gains(base, candidates), nil
 	}
-	p := m.NewPlanner()
-	seen := make(map[NodeID]bool, len(o.Blocked)+len(base))
-	for _, s := range o.Blocked {
-		if !seen[s] {
-			seen[s] = true
-			p.Add(s)
-		}
-	}
-	for _, s := range base {
-		if !seen[s] {
-			seen[s] = true
-			p.Add(s)
-		}
-	}
-	out := make([]float64, len(candidates))
-	fanObjGains(p.eng.Workers(), len(candidates), func(i int) {
-		out[i] = p.eng.GainObj(candidates[i], cobj)
-	})
-	return out, nil
-}
-
-// fanObjGains prices n candidates over the engine's worker knob (0 means
-// GOMAXPROCS, matching the scan and the CELF fan-out). GainObj, like
-// Gain, is read-only between Adds (the ConcurrentGain marker), and every
-// result is written by index from an independent evaluation, so the
-// floats are identical at every worker count.
-func fanObjGains(workers, n int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// GainsObjOn is GainsObj evaluated over a caller-supplied scanned planner
-// — a serving layer's (possibly ingest-extended) base — instead of the
-// model's lazy base, whose first use for an ingest-grown model would be a
-// second from-scratch scan of the combined log. The planner is never
-// mutated: commits go to a clone, and a commit-free call reads the
-// planner directly (GainObj, like Gain, is read-only).
-func (m *Model) GainsObjOn(p *Planner, base, candidates []NodeID, o *Objective) ([]float64, error) {
-	cobj, err := m.coreObjective(o, false)
-	if err != nil {
-		return nil, err
-	}
-	n := m.ds.Graph.NumNodes()
-	if err := checkIDs("seed", base, n); err != nil {
-		return nil, err
-	}
-	if err := checkIDs("candidate", candidates, n); err != nil {
-		return nil, err
-	}
-	var blocked []NodeID
-	if o != nil {
-		blocked = o.Blocked
-	}
-	work := p
-	if len(base) > 0 || len(blocked) > 0 {
-		work = p.Clone()
-		seen := make(map[NodeID]bool, len(blocked)+len(base))
-		for _, s := range blocked {
-			if !seen[s] {
-				seen[s] = true
-				work.Add(s)
-			}
-		}
-		for _, s := range base {
-			if !seen[s] {
-				seen[s] = true
-				work.Add(s)
-			}
-		}
-	}
-	out := make([]float64, len(candidates))
-	fanObjGains(work.eng.Workers(), len(candidates), func(i int) {
-		out[i] = work.eng.GainObj(candidates[i], cobj)
-	})
-	return out, nil
-}
-
-// SelectSeedsObjOn is SelectSeedsObj run over a clone of a caller-supplied
-// planner (never the receiver itself). Unlike SelectSeedsObj it does not
-// route the default objective anywhere special — it always runs a fresh
-// one-shot selection — because its caller (the serving layer) routes
-// default requests to its memoized growable selection before coming here.
-func (m *Model) SelectSeedsObjOn(p *Planner, k int, o *Objective) (seedsel.Result, error) {
-	cobj, err := m.coreObjective(o, true)
-	if err != nil {
-		return seedsel.Result{}, err
-	}
-	var blocked, costs = []NodeID(nil), []float64(nil)
-	budget := 0.0
-	if o != nil {
-		blocked, costs, budget = o.Blocked, o.Costs, o.Budget
-	}
-	work := p.Clone()
-	seen := make(map[NodeID]bool, len(blocked))
-	for _, s := range blocked {
-		if !seen[s] {
-			seen[s] = true
-			work.Add(s)
-		}
-	}
-	opts := celf.Options{Workers: work.eng.Workers(), Costs: costs, Budget: budget, Blocked: blocked}
-	if cobj == nil {
-		if budget == 0 {
-			opts.Bounds = p.bounds.get(func() []float64 { return engineGains(p.eng) })
-		}
-		return celf.Run(work.eng, k, opts), nil
-	}
-	return celf.Run(objEstimator{eng: work.eng, obj: cobj}, k, opts), nil
+	return m.coord().coord.Gains(base, candidates, cobj, o.Blocked)
 }
 
 // singletonBounds lazily holds every node's default marginal gain on one
@@ -354,31 +220,18 @@ func (b *singletonBounds) get(compute func() []float64) []float64 {
 	return b.gains
 }
 
-// engineGains prices every node against eng's current seed set, fanned
-// over the engine's workers (Gain is read-only between Adds, and each
-// value is written by index).
-func engineGains(eng *core.Engine) []float64 {
-	out := make([]float64, eng.NumNodes())
-	fanObjGains(eng.Workers(), len(out), func(i int) { out[i] = eng.Gain(NodeID(i)) })
+// singletonGains prices every node on the engine owning its row (a full
+// engine, or the row-range partitions tiling the universe) against the
+// engines' current seed set, each engine's rows fanned over its workers
+// (Gain is read-only between Adds, and each value is written by index).
+func singletonGains(engines []*core.Engine) []float64 {
+	out := make([]float64, engines[0].NumNodes())
+	for _, e := range engines {
+		lo, hi := e.PartitionRange()
+		celf.ForEach(e.Workers(), hi-lo, func(i int) { out[lo+i] = e.Gain(NodeID(lo + i)) })
+	}
 	return out
 }
-
-// objEstimator wraps a planner engine so CELF prices candidates under an
-// objective. Only Gain changes — seed commits are objective-independent,
-// which is what lets the selection machinery (lazy-forward heap,
-// copy-on-write clones, parallel first pass) run unchanged.
-type objEstimator struct {
-	eng *core.Engine
-	obj *core.Objective
-}
-
-func (e objEstimator) NumNodes() int         { return e.eng.NumNodes() }
-func (e objEstimator) Gain(x NodeID) float64 { return e.eng.GainObj(x, e.obj) }
-func (e objEstimator) Add(x NodeID)          { e.eng.Add(x) }
-
-// ConcurrentGain marks Gain as safe between Adds: GainObj, like Gain, is
-// read-only. Compile-time marker, never called.
-func (e objEstimator) ConcurrentGain() {}
 
 // SelectSeedsObj runs seed selection under the full objective: audience
 // weights and window reprice every marginal gain, blocked rivals are
@@ -386,7 +239,8 @@ func (e objEstimator) ConcurrentGain() {}
 // the run into budgeted cost-benefit CELF with the best-affordable-
 // singleton fallback (the (1-1/sqrt(e))-approximate rule). The default
 // objective is exactly Selection, bit for bit; non-default selections
-// are bit-identical at every worker count.
+// run on the model's one-engine coordinator and are bit-identical at
+// every worker and partition count.
 func (m *Model) SelectSeedsObj(k int, o *Objective) (seedsel.Result, error) {
 	cobj, err := m.coreObjective(o, true)
 	if err != nil {
@@ -395,70 +249,66 @@ func (m *Model) SelectSeedsObj(k int, o *Objective) (seedsel.Result, error) {
 	if o.IsDefault() {
 		return m.selection(k), nil
 	}
-	p := m.NewPlanner()
-	seen := make(map[NodeID]bool, len(o.Blocked))
-	for _, s := range o.Blocked {
-		if !seen[s] {
-			seen[s] = true
-			p.Add(s)
-		}
-	}
-	opts := celf.Options{Workers: p.eng.Workers(), Costs: o.Costs, Budget: o.Budget, Blocked: o.Blocked}
-	if cobj == nil {
-		if o.Budget == 0 {
-			opts.Bounds = m.bounds.get(func() []float64 { return engineGains(m.base()) })
-		}
-		return celf.Run(p.eng, k, opts), nil
-	}
-	return celf.Run(objEstimator{eng: p.eng, obj: cobj}, k, opts), nil
+	return m.coord().selectObj(cobj, o, k), nil
 }
 
-// SpreadObj is Model.SpreadObj served scatter-gather: the conditional
-// objective spread as a telescoped sum of owner-priced objective gains.
-// Bit-identical across partition and worker counts; the default
-// objective routes through Spread. m supplies the objective context
+// blockedOf returns the objective's rival set (nil for the default).
+func blockedOf(o *Objective) []NodeID {
+	if o == nil {
+		return nil
+	}
+	return o.Blocked
+}
+
+// SpreadObj is Model.SpreadObj served through the coordinator: the
+// conditional objective spread as a telescoped sum of owner-priced
+// objective gains. Bit-identical across partition and worker counts; the
+// default objective is exactly Spread. m supplies the objective context
 // (universe, delay index) and must be the model these partitions serve.
 func (pp *PartitionedPlanner) SpreadObj(m *Model, seeds []NodeID, o *Objective) (float64, error) {
 	cobj, err := m.coreObjective(o, false)
 	if err != nil {
 		return 0, err
 	}
-	var blocked []NodeID
-	if o != nil {
-		blocked = o.Blocked
-	}
-	return pp.coord.SpreadObj(seeds, cobj, blocked)
+	return pp.coord.Spread(seeds, cobj, blockedOf(o))
 }
 
-// GainsObj is Model.GainsObj served scatter-gather, every candidate
-// priced by its row's owning partition. Bit-identical across partition
-// and worker counts; the default objective routes through Gains.
+// GainsObj is Model.GainsObj served through the coordinator, every
+// candidate priced by its row's owning partition. Bit-identical to
+// Model.GainsObj at every partition and worker count; the default
+// objective is exactly Gains.
 func (pp *PartitionedPlanner) GainsObj(m *Model, base, candidates []NodeID, o *Objective) ([]float64, error) {
 	cobj, err := m.coreObjective(o, false)
 	if err != nil {
 		return nil, err
 	}
-	var blocked []NodeID
-	if o != nil {
-		blocked = o.Blocked
-	}
-	return pp.coord.GainsObj(base, candidates, cobj, blocked)
+	return pp.coord.Gains(base, candidates, cobj, blockedOf(o))
 }
 
-// SelectSeedsObj is Model.SelectSeedsObj served scatter-gather over
-// fresh partition clones. Seeds and gains are bit-identical to the
-// single-engine objective selection at every partition count.
+// SelectSeedsObj runs a fresh one-shot selection under the objective over
+// clones of the partitions: Model.SelectSeedsObj served through the
+// coordinator, with seeds and gains bit-identical to it at every
+// partition count. Unlike Model.SelectSeedsObj it does not route the
+// default objective anywhere special, because its caller (the serving
+// layer) routes default requests to its memoized growable selection.
 func (pp *PartitionedPlanner) SelectSeedsObj(m *Model, k int, o *Objective) (seedsel.Result, error) {
 	cobj, err := m.coreObjective(o, true)
 	if err != nil {
 		return seedsel.Result{}, err
 	}
+	return pp.selectObj(cobj, o, k), nil
+}
+
+// selectObj runs the one-shot selection for a validated objective, seeding
+// rival-only runs (default pricing, no budget) with the planner's
+// singleton-gain bounds.
+func (pp *PartitionedPlanner) selectObj(cobj *core.Objective, o *Objective, k int) seedsel.Result {
 	var opts celf.Options
 	if o != nil {
 		opts = celf.Options{Costs: o.Costs, Budget: o.Budget, Blocked: o.Blocked}
 	}
 	if cobj == nil && opts.Budget == 0 {
-		opts.Bounds = pp.bounds.get(pp.singletonGains)
+		opts.Bounds = pp.bounds.get(func() []float64 { return singletonGains(pp.coord.Engines()) })
 	}
-	return pp.coord.SelectObj(cobj, k, opts), nil
+	return pp.coord.Select(cobj, k, opts)
 }

@@ -279,15 +279,19 @@ func TestGainsObjFanBitIdentical(t *testing.T) {
 			t.Fatalf("candidate %d: serial %b, fanned %b", c, one[0], batched[i])
 		}
 	}
-	// The caller-supplied-planner variant fans identically.
-	p := m.NewPlanner()
-	onPlanner, err := m.GainsObjOn(p, base, candidates, obj)
+	// A one-engine coordinator (how serving prices an unpartitioned
+	// model) fans identically.
+	pp, err := m.NewPlanner().Partition(1)
 	if err != nil {
-		t.Fatalf("GainsObjOn: %v", err)
+		t.Fatalf("Partition(1): %v", err)
+	}
+	served, err := pp.GainsObj(m, base, candidates, obj)
+	if err != nil {
+		t.Fatalf("PartitionedPlanner.GainsObj: %v", err)
 	}
 	for i := range batched {
-		if onPlanner[i] != batched[i] {
-			t.Fatalf("GainsObjOn[%d] = %b, GainsObj = %b", i, onPlanner[i], batched[i])
+		if served[i] != batched[i] {
+			t.Fatalf("PartitionedPlanner.GainsObj[%d] = %b, GainsObj = %b", i, served[i], batched[i])
 		}
 	}
 }

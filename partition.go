@@ -33,8 +33,9 @@ func SlicePaths(modelPath string, n int) []string {
 }
 
 // PartitionedPlanner serves the model as a set of self-contained row-range
-// engine partitions behind a scatter-gather coordinator: every query fans
-// over the partitions and merges by summation, and every answer is
+// engine partitions behind a scatter-gather coordinator — or as one full
+// engine behind the same coordinator (Partition(1)): every query fans
+// over the engines and merges by summation, and every answer is
 // bit-identical at any partition count (see internal/partition). It is
 // immutable once built — queries clone the partitions they would mutate —
 // so any number of goroutines may query it concurrently; ingest derives a
@@ -51,26 +52,22 @@ type PartitionedPlanner struct {
 	bounds singletonBounds
 }
 
-// singletonGains prices every node on its owning partition with no seeds
-// committed, each partition's rows fanned over the engines' workers.
-func (pp *PartitionedPlanner) singletonGains() []float64 {
-	engines := pp.coord.Engines()
-	out := make([]float64, pp.coord.NumUsers())
-	for _, e := range engines {
-		lo, hi := e.PartitionRange()
-		fanObjGains(e.Workers(), hi-lo, func(i int) { out[lo+i] = e.Gain(NodeID(lo + i)) })
-	}
-	return out
-}
-
 // Partition splits the planner's scanned engine into n contiguous
 // near-even row-range partitions sharing the frozen shards (nothing is
-// copied), wrapped in a coordinator. The planner must not hold committed
-// seeds. The receiver stays usable: it is frozen first, so its later
-// mutations go copy-on-write instead of corrupting the shared rows.
+// copied), wrapped in a coordinator. n <= 1 wraps a clone of the whole
+// engine instead of a slice: the one-engine coordinator a serving layer
+// answers an unpartitioned model through. The planner must not hold
+// committed seeds. The receiver stays usable: it is frozen first, so its
+// later mutations go copy-on-write instead of corrupting the shared rows.
 func (p *Planner) Partition(n int) (*PartitionedPlanner, error) {
+	if len(p.eng.Seeds()) > 0 {
+		return nil, core.ErrSeedsCommitted
+	}
 	p.eng.Freeze()
 	ranges := partition.SplitRanges(p.eng.NumNodes(), n)
+	if len(ranges) == 1 {
+		return wrapEngine(p.eng.Clone()), nil
+	}
 	parts := make([]*core.Engine, len(ranges))
 	for i, r := range ranges {
 		var err error
@@ -85,24 +82,29 @@ func (p *Planner) Partition(n int) (*PartitionedPlanner, error) {
 	return &PartitionedPlanner{coord: coord}, nil
 }
 
+// wrapEngine puts one full, frozen engine behind a coordinator. The
+// planner never mutates it (queries clone), so it may be shared.
+func wrapEngine(eng *core.Engine) *PartitionedPlanner {
+	coord, err := partition.New([]*core.Engine{eng}, eng.Workers())
+	if err != nil {
+		// A full engine covers its universe by construction.
+		panic(fmt.Sprintf("credist: wrap a full engine: %v", err))
+	}
+	return &PartitionedPlanner{coord: coord}
+}
+
 // WriteSnapshotSlice streams the influencer rows in [lo, hi) of the
-// model's scanned engine (or of p, under WriteSnapshot's planner rules) as
+// model's scanned engine (or of p, under WriteSnapshot's lineage rules) as
 // a version-4 snapshot slice. A contiguous set of slices tiling
 // [0, NumUsers) reassembles the model exactly; LoadPartitions validates
 // the tiling at load. The prefix rides in every slice, as in WriteSnapshot.
 func (m *Model) WriteSnapshotSlice(w io.Writer, p *Planner, prefix *SeedPrefix, lo, hi int) error {
-	eng := (*core.Engine)(nil)
+	var eng *core.Engine
 	if p == nil {
 		eng = m.base()
 	} else {
-		if p.eng.CreditModel() != m.credit {
-			return fmt.Errorf("credist: planner was scanned with different credit parameters than this model")
-		}
-		if pl, ml := p.eng.Lambda(), m.opts.Lambda; pl != ml {
-			return fmt.Errorf("credist: planner was scanned with lambda %g, model uses %g", pl, ml)
-		}
-		if pn, ln := p.NumActions(), m.ds.Log.NumActions(); pn != ln {
-			return fmt.Errorf("credist: planner covers %d actions, model's log holds %d", pn, ln)
+		if err := m.checkLineage(p.eng); err != nil {
+			return err
 		}
 		eng = p.eng
 	}
@@ -298,11 +300,8 @@ func (pp *PartitionedPlanner) SaveSlices(m *Model, prefix *SeedPrefix, paths []s
 	if len(paths) != len(engines) {
 		return fmt.Errorf("credist: %d slice paths for %d partitions", len(paths), len(engines))
 	}
-	if pn, ln := pp.coord.NumActions(), m.ds.Log.NumActions(); pn != ln {
-		return fmt.Errorf("credist: partitions cover %d actions, model's log holds %d", pn, ln)
-	}
-	if pl, ml := engines[0].Lambda(), m.opts.Lambda; pl != ml {
-		return fmt.Errorf("credist: partitions were scanned with lambda %g, model uses %g", pl, ml)
+	if err := m.checkLineage(engines[0]); err != nil {
+		return err
 	}
 	lin := core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log)
 	for i, eng := range engines {
@@ -446,14 +445,14 @@ func (pp *PartitionedPlanner) DeltaActions() int {
 // guaranteed bit-identical to the unpartitioned evaluator, which
 // accumulates the same total in per-action order.
 func (pp *PartitionedPlanner) Spread(seeds []NodeID) (float64, error) {
-	return pp.coord.Spread(seeds)
+	return pp.coord.Spread(seeds, nil, nil)
 }
 
 // Gains evaluates each candidate's marginal gain against the base seed
 // set, every candidate priced exactly by its row's owner. Bit-identical
 // to Planner.Gain after the same Adds, at any partition count.
 func (pp *PartitionedPlanner) Gains(base, candidates []NodeID) ([]float64, error) {
-	return pp.coord.Gains(base, candidates)
+	return pp.coord.Gains(base, candidates, nil, nil)
 }
 
 // ExplainSeed decomposes candidate x's marginal gain into its top credit
@@ -474,11 +473,11 @@ func (pp *PartitionedPlanner) ExplainReach(seeds []NodeID, v NodeID, top int) (R
 
 // NewSelection starts a growable CELF selection over fresh partition
 // clones: the coordinator-side lazy-forward heap with the first-iteration
-// gain pass fanned per partition. Seeds and gains are bit-identical to a
-// single-engine selection. The returned selection has no planner
-// (Planner() is nil); its state lives in the partition clones it owns.
+// gain pass fanned over the workers. Seeds and gains are bit-identical to
+// a single-engine selection; the selection's state lives in the clones it
+// owns.
 func (pp *PartitionedPlanner) NewSelection() *GrowableSelection {
-	return &GrowableSelection{sel: pp.coord.NewSelection(celf.Options{})}
+	return &GrowableSelection{sel: pp.coord.NewSelection(nil, celf.Options{})}
 }
 
 // ResumeSelection is NewSelection continuing from a previously computed
@@ -515,6 +514,17 @@ func (pp *PartitionedPlanner) Extend(m *Model) (*PartitionedPlanner, error) {
 	// The successor aliases the receiver's mapped shards copy-on-write but
 	// does not own the mappings; Close on the opener releases them.
 	return &PartitionedPlanner{coord: coord}, nil
+}
+
+// Compact folds every partition's appended delta into its frozen base, as
+// Planner.Compact does for one engine; results are unchanged. The planner
+// is otherwise immutable, so Compact is only for one no query has seen
+// yet: the serving layer compacts an Extend successor before publishing
+// it.
+func (pp *PartitionedPlanner) Compact() {
+	for _, eng := range pp.coord.Engines() {
+		eng.Compact()
+	}
 }
 
 // Close releases the file mappings behind mmap-opened slices; a no-op

@@ -115,36 +115,11 @@ func (m *Model) ExplainSeed(x NodeID, top int) SeedExplanation {
 	return m.base().ExplainSeed(x, top)
 }
 
-// ExplainSeedOn is ExplainSeed against a planner's state — committed
-// seeds discount and zero out paths exactly as they discount Gain, so the
-// explained value is bit-for-bit p.Gain(x). This is how the serving layer
-// explains on its live (possibly ingest-extended) base planner.
-func (m *Model) ExplainSeedOn(p *Planner, x NodeID, top int) SeedExplanation {
-	return p.eng.ExplainSeed(x, top)
-}
-
 // ExplainReach decomposes the credit the given seeds push onto target v:
 // per-seed shares in input order whose fixed-order fold is bit-exactly
 // the returned Total, plus the top contributing (seed, action) paths.
 // Answered from the provenance index (built lazily on first use, or
 // restored from a version-6 snapshot with zero build work).
 func (m *Model) ExplainReach(seeds []NodeID, v NodeID, top int) ReachExplanation {
-	return m.explainReachOn(m.base(), seeds, v, top)
-}
-
-// ExplainReachOn is ExplainReach against a planner's state. A planner
-// matching the model's base state answers from the shared index; an
-// ingest-extended or seeded planner falls back to the direct shard walk,
-// which is bit-identical by construction.
-func (m *Model) ExplainReachOn(p *Planner, seeds []NodeID, v NodeID, top int) ReachExplanation {
-	return m.explainReachOn(p.eng, seeds, v, top)
-}
-
-func (m *Model) explainReachOn(eng *core.Engine, seeds []NodeID, v NodeID, top int) ReachExplanation {
-	// The index describes the base scan over exactly the model's log with
-	// no committed seeds; any other engine state walks its own shards.
-	if eng.NumActions() == m.ds.Log.NumActions() && len(eng.Seeds()) == 0 {
-		return eng.ExplainReachIndexed(m.ensureProv(), seeds, v, top)
-	}
-	return eng.ExplainReach(seeds, v, top)
+	return m.base().ExplainReachIndexed(m.ensureProv(), seeds, v, top)
 }

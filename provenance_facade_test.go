@@ -23,16 +23,6 @@ func TestFacadeExplainSeedMatchesGains(t *testing.T) {
 			t.Errorf("ExplainSeed(%d): %d paths of %d with top=8", c, len(ex.Paths), ex.TotalPaths)
 		}
 	}
-	// Against a live planner: committed seeds discount the explanation
-	// exactly as they discount Gain.
-	p := m.NewPlanner()
-	p.Add(cands[0])
-	for _, c := range cands[1:] {
-		ex := m.ExplainSeedOn(p, c, 8)
-		if want := p.Gain(c); ex.Gain != want {
-			t.Errorf("ExplainSeedOn(%d) after commit = %b, Gain = %b", c, ex.Gain, want)
-		}
-	}
 }
 
 // TestFacadeExplainReachSumsToTotal pins the decomposition rule: the

@@ -57,13 +57,15 @@ func TestSeedPrefixSaveLoadCycle(t *testing.T) {
 		}
 	}
 
-	// Resuming a prefix on a planner with committed seeds is rejected: the
-	// prefix describes a selection from an empty seed set, and replaying
-	// it on top of foreign seeds would silently double-commit overlaps.
+	// A prefix describes a selection from an empty seed set, and replaying
+	// it on top of foreign seeds would silently double-commit overlaps. A
+	// resumable selection only ever starts from a seed-free state: the
+	// model's base, or a coordinator, which refuses a planner with
+	// committed seeds.
 	dirty := loaded.NewPlanner()
 	dirty.Add(p.Seeds[0])
-	if _, err := dirty.ResumeSelection(p); err == nil {
-		t.Fatal("ResumeSelection on a planner with committed seeds accepted")
+	if _, err := dirty.Partition(1); err == nil {
+		t.Fatal("Partition of a planner with committed seeds accepted")
 	}
 
 	// A load against a grown log (snapshot + appended tail) must drop the
