@@ -27,7 +27,6 @@ import (
 	"credist/internal/eval"
 	"credist/internal/probs"
 	"credist/internal/ris"
-	"credist/internal/seedsel"
 )
 
 // benchFlixster/benchFlickr are reduced-scale versions of the presets used
@@ -206,10 +205,10 @@ func BenchmarkAblationCELFvsGreedy(b *testing.B) {
 	credit := core.LearnTimeAware(env.Graph, env.Train)
 	for i := 0; i < b.N; i++ {
 		eng1 := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: 0.001, Credit: credit})
-		celf := seedsel.CELF(eng1, 10)
+		lazy := celf.Run(eng1, 10, celf.Options{})
 		eng2 := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: 0.001, Credit: credit})
-		greedy := seedsel.Greedy(eng2, 10)
-		b.ReportMetric(float64(celf.Lookups), "celf-lookups")
+		greedy := celf.Greedy(eng2, 10)
+		b.ReportMetric(float64(lazy.Lookups), "celf-lookups")
 		b.ReportMetric(float64(greedy.Lookups), "greedy-lookups")
 	}
 }
@@ -222,9 +221,9 @@ func BenchmarkAblationDirectCredit(b *testing.B) {
 	scorer := core.NewEvaluator(env.Graph, env.Train, ta)
 	for i := 0; i < b.N; i++ {
 		simple := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: 0.001})
-		sRes := seedsel.CELF(simple, 10)
+		sRes := celf.Run(simple, 10, celf.Options{})
 		timeAware := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: 0.001, Credit: ta})
-		tRes := seedsel.CELF(timeAware, 10)
+		tRes := celf.Run(timeAware, 10, celf.Options{})
 		b.ReportMetric(scorer.Spread(sRes.Seeds), "simple-spread")
 		b.ReportMetric(scorer.Spread(tRes.Seeds), "timeaware-spread")
 		b.ReportMetric(float64(simple.Entries()), "simple-entries")
@@ -337,7 +336,7 @@ func BenchmarkAblationRISvsCD(b *testing.B) {
 		col := ris.Collect(ris.NewSampler(emW, cascade.IC), 30000, 1)
 		risSeeds, _ := col.SelectSeeds(10)
 		cd := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: 0.001, Credit: credit})
-		cdRes := seedsel.CELF(cd, 10)
+		cdRes := celf.Run(cd, 10, celf.Options{})
 		b.ReportMetric(scorer.Spread(risSeeds), "ris-cdspread")
 		b.ReportMetric(scorer.Spread(cdRes.Seeds), "cd-cdspread")
 		b.ReportMetric(col.EstimateSpread(risSeeds), "ris-icspread")

@@ -131,26 +131,14 @@ func LoadDataset(name, graphPath, logPath string) (*Dataset, error) {
 	return &Dataset{Name: name, Graph: g, Log: l}, nil
 }
 
-// SaveDataset writes the graph and log to the given paths.
+// SaveDataset writes the graph and log to the given paths, each to a temp
+// file renamed into place.
 func SaveDataset(d *Dataset, graphPath, logPath string) error {
-	gf, err := os.Create(graphPath)
-	if err != nil {
-		return fmt.Errorf("credist: create graph file: %w", err)
+	if err := writeFileAtomic(graphPath, func(w io.Writer) error { return graph.WriteEdgeList(w, d.Graph) }); err != nil {
+		return fmt.Errorf("credist: write graph file %s: %w", graphPath, err)
 	}
-	if err := graph.WriteEdgeList(gf, d.Graph); err != nil {
-		gf.Close()
-		return err
+	if err := writeFileAtomic(logPath, func(w io.Writer) error { return actionlog.Write(w, d.Log) }); err != nil {
+		return fmt.Errorf("credist: write log file %s: %w", logPath, err)
 	}
-	if err := gf.Close(); err != nil {
-		return err
-	}
-	lf, err := os.Create(logPath)
-	if err != nil {
-		return fmt.Errorf("credist: create log file: %w", err)
-	}
-	if err := actionlog.Write(lf, d.Log); err != nil {
-		lf.Close()
-		return err
-	}
-	return lf.Close()
+	return nil
 }

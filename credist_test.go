@@ -1,7 +1,6 @@
 package credist
 
 import (
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -361,10 +360,24 @@ func TestLoadModelSnapshotLineageErrors(t *testing.T) {
 	if _, err := LoadModel(ds, bad, Options{}); err == nil {
 		t.Error("corrupt snapshot accepted")
 	}
+	// A partition slice holds only its own rows: as a whole model it would
+	// answer a gain outside them with a panic, so both whole-model loads
+	// refuse it.
+	_, _, slices, err := LoadModelPartitioned(ds, path, 2, false, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModel(ds, slices[1], Options{}); err == nil {
+		t.Error("partition slice accepted as a whole model")
+	}
+	if _, err := LoadModelMapped(ds, slices[1], Options{}); err == nil {
+		t.Error("partition slice accepted as a whole mapped model")
+	}
 }
 
-// TestWriteSnapshotPlannerValidation covers the explicit-planner path the
-// serving layer uses to checkpoint its live one-engine coordinator.
+// TestWriteSnapshotPlannerValidation covers PartitionedPlanner.Save, the
+// path the serving layer uses to checkpoint its live one-engine
+// coordinator.
 func TestWriteSnapshotPlannerValidation(t *testing.T) {
 	ds := Generate(tinyConfig(13))
 	model := Learn(ds, Options{Lambda: 0.001})
@@ -373,16 +386,10 @@ func TestWriteSnapshotPlannerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "model.bin")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := model.WriteSnapshot(f, p, nil); err != nil {
-		t.Fatalf("WriteSnapshot(planner): %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.bin")
+	if err := p.Save(model, nil, path); err != nil {
+		t.Fatalf("Save(planner): %v", err)
 	}
 	loaded, err := LoadModel(ds, path, Options{})
 	if err != nil {
@@ -401,7 +408,7 @@ func TestWriteSnapshotPlannerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := model.WriteSnapshot(io.Discard, foreign, nil); err == nil {
+	if err := foreign.Save(model, nil, filepath.Join(dir, "foreign.bin")); err == nil {
 		t.Error("foreign planner accepted")
 	}
 	// A planner split into several partitions holds no full engine.
@@ -409,7 +416,7 @@ func TestWriteSnapshotPlannerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := model.WriteSnapshot(io.Discard, split, nil); err == nil {
+	if err := split.Save(model, nil, filepath.Join(dir, "split.bin")); err == nil {
 		t.Error("two-partition planner accepted")
 	}
 	// Committed seeds never reach a coordinator: Partition refuses them.
@@ -417,6 +424,41 @@ func TestWriteSnapshotPlannerValidation(t *testing.T) {
 	committed.Add(s1[0])
 	if _, err := committed.Partition(1); err == nil {
 		t.Error("planner with committed seeds accepted")
+	}
+}
+
+// TestSaveOverMappedModelPath: Save replaces its target by rename, so a
+// model memory-mapped from that path keeps reading the file it opened.
+// Saving another model over the path in place would rewrite (and here
+// shrink) the very pages the mapped model's rows alias.
+func TestSaveOverMappedModelPath(t *testing.T) {
+	ds := Generate(tinyConfig(14))
+	path := filepath.Join(t.TempDir(), "model.bin")
+	if err := Learn(ds, Options{Lambda: 0.001}).Save(path); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	mapped, err := LoadModelMapped(ds, path, Options{})
+	if err != nil {
+		t.Fatalf("LoadModelMapped: %v", err)
+	}
+	defer mapped.Close()
+	cands := make([]NodeID, ds.Graph.NumNodes())
+	for i := range cands {
+		cands[i] = NodeID(i)
+	}
+	base := []NodeID{0, 1}
+	before, beforeBase := mapped.Gains(nil, cands), mapped.Gains(base, cands)
+
+	// A coarser truncation threshold keeps fewer credits: a smaller file
+	// with different rows.
+	if err := Learn(ds, Options{Lambda: 0.05}).Save(path); err != nil {
+		t.Fatalf("Save over the mapped path: %v", err)
+	}
+	after, afterBase := mapped.Gains(nil, cands), mapped.Gains(base, cands)
+	for i := range cands {
+		if math.Float64bits(after[i]) != math.Float64bits(before[i]) || math.Float64bits(afterBase[i]) != math.Float64bits(beforeBase[i]) {
+			t.Fatalf("candidate %d: gains %v/%v after the save, %v/%v before", i, after[i], afterBase[i], before[i], beforeBase[i])
+		}
 	}
 }
 

@@ -4,7 +4,7 @@ import "credist/internal/graph"
 
 // GreedyEstimator adapts Monte-Carlo spread estimation to the marginal-
 // gain interface used by the greedy/CELF selectors (it satisfies
-// seedsel.Estimator). This is the "standard approach" pipeline of the
+// celf.Estimator). This is the "standard approach" pipeline of the
 // paper: every Gain costs a full batch of simulations, which is exactly
 // the expense the CD model eliminates.
 type GreedyEstimator struct {

@@ -3,11 +3,13 @@
 // first-iteration marginal-gain pass, deterministic tie-breaking, and
 // prefix-incremental results.
 //
-// Every seed-selection path in the repository — internal/seedsel's
-// estimator-generic selectors, the credist.Model/Planner facade, serve's
-// /seeds endpoint, cmd/experiments' figure drivers, and the RIS baseline —
-// routes through this one implementation, so their selections agree bit
+// Every seed-selection path in the repository — the credist.Model/Planner
+// facade, serve's /seeds endpoint, cmd/experiments' figure drivers over
+// Monte-Carlo and heuristic estimators, and the RIS baseline — routes
+// through this one implementation (Run), so their selections agree bit
 // for bit by construction instead of by parallel maintenance of two heaps.
+// Greedy, the plain O(nk) algorithm, stays beside it as the reference the
+// tests and ablation benchmarks compare against.
 //
 // Determinism contract: Seeds and Gains (hence every per-prefix spread,
 // the cumulative sum of Gains) are bit-for-bit identical across worker

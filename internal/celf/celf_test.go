@@ -12,7 +12,6 @@ import (
 	"credist/internal/datagen"
 	"credist/internal/graph"
 	"credist/internal/ris"
-	"credist/internal/seedsel"
 )
 
 // celfDemo is a small deterministic dataset for the CD-estimator tests.
@@ -164,7 +163,7 @@ func TestParallelCELFActuallyFaster(t *testing.T) {
 func TestCELFMatchesGreedyOnEngine(t *testing.T) {
 	base := freshEngine(t, false)
 	base.Compact()
-	greedy := seedsel.Greedy(base.Clone(), 10)
+	greedy := celf.Greedy(base.Clone(), 10)
 	for _, workers := range []int{1, 4} {
 		lazy := celf.Run(base.Clone(), 10, celf.Options{Workers: workers})
 		requireSameSelection(t, "greedy-vs-celf", greedy, lazy)

@@ -1,42 +1,29 @@
-package seedsel
+package celf_test
 
 import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
+	"credist/internal/celf"
 	"credist/internal/graph"
 )
 
-// coverEstimator is a deterministic submodular oracle: each node covers a
-// fixed set of elements, the spread of S is |union of covered sets|.
-// Coverage functions are the canonical monotone submodular family, so
-// greedy and CELF must agree exactly on them.
-type coverEstimator struct {
-	covers  [][]int
-	covered map[int]bool
-}
-
-func newCoverEstimator(covers [][]int) *coverEstimator {
-	return &coverEstimator{covers: covers, covered: map[int]bool{}}
-}
-
-func (c *coverEstimator) NumNodes() int { return len(c.covers) }
-
-func (c *coverEstimator) Gain(x graph.NodeID) float64 {
-	gain := 0
-	for _, e := range c.covers[x] {
-		if !c.covered[e] {
-			gain++
+// unitCover wraps covers in the unweighted coverage estimator (every
+// element worth 1): the canonical monotone submodular family, on which
+// Greedy and Run must agree exactly.
+func unitCover(covers [][]int) *coverEstimator {
+	universe := 0
+	for _, c := range covers {
+		for _, e := range c {
+			universe = max(universe, e+1)
 		}
 	}
-	return float64(gain)
-}
-
-func (c *coverEstimator) Add(x graph.NodeID) {
-	for _, e := range c.covers[x] {
-		c.covered[e] = true
+	vals := make([]float64, universe)
+	for i := range vals {
+		vals[i] = 1
 	}
+	return newCoverEstimator(covers, vals)
 }
 
 func randomCovers(rng *rand.Rand, n, universe int) [][]int {
@@ -61,7 +48,7 @@ func TestGreedySolvesSmallCover(t *testing.T) {
 		{5},
 		{1, 2, 3, 4}, // dominates 0 and 1
 	}
-	res := Greedy(newCoverEstimator(covers), 2)
+	res := celf.Greedy(unitCover(covers), 2)
 	if len(res.Seeds) != 2 || res.Seeds[0] != 3 || res.Seeds[1] != 2 {
 		t.Fatalf("Seeds = %v, want [3 2]", res.Seeds)
 	}
@@ -75,8 +62,8 @@ func TestCELFEqualsGreedy(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 0))
 		covers := randomCovers(rng, 10+rng.IntN(20), 30)
 		k := 1 + rng.IntN(6)
-		g := Greedy(newCoverEstimator(covers), k)
-		c := CELF(newCoverEstimator(covers), k)
+		g := celf.Greedy(unitCover(covers), k)
+		c := celf.Run(unitCover(covers), k, celf.Options{})
 		if len(g.Seeds) != len(c.Seeds) {
 			return false
 		}
@@ -97,8 +84,8 @@ func TestCELFDoesFewerLookups(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
 	covers := randomCovers(rng, 200, 100)
 	k := 10
-	g := Greedy(newCoverEstimator(covers), k)
-	c := CELF(newCoverEstimator(covers), k)
+	g := celf.Greedy(unitCover(covers), k)
+	c := celf.Run(unitCover(covers), k, celf.Options{})
 	if c.Lookups >= g.Lookups {
 		t.Fatalf("CELF lookups %d not below greedy %d", c.Lookups, g.Lookups)
 	}
@@ -106,7 +93,7 @@ func TestCELFDoesFewerLookups(t *testing.T) {
 
 func TestGreedyStopsWhenCandidatesExhausted(t *testing.T) {
 	covers := [][]int{{1}, {2}}
-	res := Greedy(newCoverEstimator(covers), 10)
+	res := celf.Greedy(unitCover(covers), 10)
 	if len(res.Seeds) != 2 {
 		t.Fatalf("Seeds = %v, want both candidates", res.Seeds)
 	}
@@ -114,7 +101,7 @@ func TestGreedyStopsWhenCandidatesExhausted(t *testing.T) {
 
 func TestGreedyCandidatesRestricted(t *testing.T) {
 	covers := [][]int{{1, 2, 3}, {4}, {5}}
-	res := GreedyCandidates(newCoverEstimator(covers), 2, []graph.NodeID{1, 2})
+	res := celf.GreedyCandidates(unitCover(covers), 2, []graph.NodeID{1, 2})
 	for _, s := range res.Seeds {
 		if s == 0 {
 			t.Fatal("selected a node outside the candidate pool")
@@ -125,7 +112,7 @@ func TestGreedyCandidatesRestricted(t *testing.T) {
 func TestElapsedMonotone(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	covers := randomCovers(rng, 50, 40)
-	res := CELF(newCoverEstimator(covers), 5)
+	res := celf.Run(unitCover(covers), 5, celf.Options{})
 	if len(res.Elapsed) != len(res.Seeds) {
 		t.Fatalf("Elapsed len %d != Seeds len %d", len(res.Elapsed), len(res.Seeds))
 	}
@@ -141,7 +128,7 @@ func TestGainsNonIncreasing(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 1))
 		covers := randomCovers(rng, 15, 25)
-		res := CELF(newCoverEstimator(covers), 8)
+		res := celf.Run(unitCover(covers), 8, celf.Options{})
 		for i := 1; i < len(res.Gains); i++ {
 			if res.Gains[i] > res.Gains[i-1] {
 				return false
@@ -151,34 +138,5 @@ func TestGainsNonIncreasing(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHighDegree(t *testing.T) {
-	b := graph.NewBuilder(5)
-	// Node 0 out-degree 3; node 1 out-degree 2.
-	_ = b.AddEdge(0, 1)
-	_ = b.AddEdge(0, 2)
-	_ = b.AddEdge(0, 3)
-	_ = b.AddEdge(1, 2)
-	_ = b.AddEdge(1, 3)
-	_ = b.AddEdge(2, 4)
-	g := b.Build()
-	top := HighDegree(g, 2)
-	if top[0] != 0 || top[1] != 1 {
-		t.Fatalf("HighDegree = %v, want [0 1]", top)
-	}
-}
-
-func TestPageRankSeedsPicksInfluencer(t *testing.T) {
-	// 0 influences everyone: reversed-graph PageRank should rank 0 first.
-	b := graph.NewBuilder(6)
-	for i := int32(1); i < 6; i++ {
-		_ = b.AddEdge(0, i)
-	}
-	g := b.Build()
-	seeds := PageRankSeeds(g, 1, graph.PageRankOptions{})
-	if seeds[0] != 0 {
-		t.Fatalf("PageRankSeeds = %v, want node 0 first", seeds)
 	}
 }

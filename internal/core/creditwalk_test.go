@@ -11,8 +11,8 @@ import (
 	"reflect"
 	"testing"
 
+	"credist/internal/celf"
 	"credist/internal/graph"
-	"credist/internal/seedsel"
 )
 
 // walkSketch draws count credit-walk samples into a sketch, the same way
@@ -50,7 +50,7 @@ func TestCreditWalkUnbiased(t *testing.T) {
 	for _, seeds := range [][]graph.NodeID{
 		{0, 1, 2},
 		{5, 11, 23, 31},
-		seedsel.CELF(NewEngine(g, log, Options{Lambda: 0.001, Credit: credit}), 3).Seeds,
+		celf.Run(NewEngine(g, log, Options{Lambda: 0.001, Credit: credit}), 3, celf.Options{}).Seeds,
 	} {
 		exact := ev.Spread(seeds)
 		inS := make(map[graph.NodeID]bool, len(seeds))
@@ -115,7 +115,7 @@ func TestCreditWalkDeterministic(t *testing.T) {
 // byte-identical version-3 (older readers keep working on it).
 func TestSnapshotSketchRoundTrip(t *testing.T) {
 	g, log, e, lin := snapshotInstance(t, 91, 50, 30)
-	sel := seedsel.CELF(e.Clone(), 4)
+	sel := celf.Run(e.Clone(), 4, celf.Options{})
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	src, err := NewEvaluator(g, log, e.CreditModel()).CreditWalks()
 	if err != nil {
@@ -124,20 +124,21 @@ func TestSnapshotSketchRoundTrip(t *testing.T) {
 	sk := walkSketch(t, src, 200, 17)
 
 	var buf bytes.Buffer
-	if err := e.WriteSnapshotSketch(&buf, lin, prefix, sk); err != nil {
-		t.Fatalf("WriteSnapshotSketch: %v", err)
+	if err := e.WriteSnapshot(&buf, SnapshotParts{Lineage: lin, Prefix: prefix, Sketch: sk}); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	data := buf.Bytes()
 	if v := binary.LittleEndian.Uint32(data[len(snapshotMagic):]); v != snapshotVersionSketch {
 		t.Fatalf("sketch snapshot stamped version %d, want %d", v, snapshotVersionSketch)
 	}
 
-	back, backLin, pfx, got, err := ReadSnapshotSketch(bytes.NewReader(data))
+	back, sp, err := ReadSnapshot(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("ReadSnapshotSketch: %v", err)
+		t.Fatalf("ReadSnapshot: %v", err)
 	}
-	if backLin != lin {
-		t.Fatalf("lineage round trip: %+v != %+v", backLin, lin)
+	pfx, got := sp.Prefix, sp.Sketch
+	if sp.Lineage != lin {
+		t.Fatalf("lineage round trip: %+v != %+v", sp.Lineage, lin)
 	}
 	if got == nil || got.Seed != sk.Seed || got.Roots != sk.Roots || !reflect.DeepEqual(got.Sets, sk.Sets) {
 		t.Fatal("heap-read sketch differs from the written sketch")
@@ -148,7 +149,7 @@ func TestSnapshotSketchRoundTrip(t *testing.T) {
 	requireEnginesBitIdentical(t, e, back, 6)
 
 	var again bytes.Buffer
-	if err := back.WriteSnapshotSketch(&again, backLin, pfx, got); err != nil {
+	if err := back.WriteSnapshot(&again, sp); err != nil {
 		t.Fatalf("re-serialize: %v", err)
 	}
 	if !bytes.Equal(again.Bytes(), data) {
@@ -160,10 +161,11 @@ func TestSnapshotSketchRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	meng, mlin, mpfx, msk, ms, err := OpenSnapshotMappedSketch(path)
+	meng, sp, ms, err := OpenSnapshotMapped(path)
 	if err != nil {
-		t.Fatalf("OpenSnapshotMappedSketch: %v", err)
+		t.Fatalf("OpenSnapshotMapped: %v", err)
 	}
+	mlin, mpfx, msk := sp.Lineage, sp.Prefix, sp.Sketch
 	defer ms.Close()
 	if mlin != lin || mpfx == nil || msk == nil {
 		t.Fatalf("mapped open dropped a section: lin %+v pfx %v sketch %v", mlin, mpfx != nil, msk != nil)
@@ -175,24 +177,25 @@ func TestSnapshotSketchRoundTrip(t *testing.T) {
 
 	// The legacy entry points still read a version-5 file, just without
 	// surfacing the sketch.
-	leng, _, lpfx, err := ReadSnapshotPrefix(bytes.NewReader(data))
+	leng, sp, err := ReadSnapshot(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("ReadSnapshotPrefix on v5: %v", err)
+		t.Fatalf("ReadSnapshot on v5: %v", err)
 	}
+	lpfx := sp.Prefix
 	if lpfx == nil || leng.NumNodes() != e.NumNodes() {
 		t.Fatal("legacy reader mangled a v5 snapshot")
 	}
 
-	// No sketch attached -> byte-identical version-3 output.
+	// An empty sketch counts as none -> byte-identical version-3 output.
 	var plain, viaSketch bytes.Buffer
-	if err := e.WriteSnapshotPrefix(&plain, lin, prefix); err != nil {
+	if err := e.WriteSnapshot(&plain, SnapshotParts{Lineage: lin, Prefix: prefix}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteSnapshotSketch(&viaSketch, lin, prefix, nil); err != nil {
+	if err := e.WriteSnapshot(&viaSketch, SnapshotParts{Lineage: lin, Prefix: prefix, Sketch: &RRSketch{}}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain.Bytes(), viaSketch.Bytes()) {
-		t.Fatal("nil-sketch write diverged from the plain prefix write")
+		t.Fatal("empty-sketch write diverged from the plain prefix write")
 	}
 	if v := binary.LittleEndian.Uint32(plain.Bytes()[len(snapshotMagic):]); v != snapshotVersion {
 		t.Fatalf("sketchless snapshot stamped version %d, want %d", v, snapshotVersion)
@@ -210,7 +213,7 @@ func TestSnapshotSketchRejectsCorruption(t *testing.T) {
 	}
 	sk := walkSketch(t, src, 20, 3)
 	var buf bytes.Buffer
-	if err := e.WriteSnapshotSketch(&buf, lin, nil, sk); err != nil {
+	if err := e.WriteSnapshot(&buf, SnapshotParts{Lineage: lin, Sketch: sk}); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -222,7 +225,7 @@ func TestSnapshotSketchRejectsCorruption(t *testing.T) {
 		{Seed: 1, Roots: 1, Sets: [][]graph.NodeID{{}}},
 		{Seed: 1, Roots: 1, Sets: [][]graph.NodeID{{graph.NodeID(e.NumNodes())}}},
 	} {
-		if err := e.WriteSnapshotSketch(&bytes.Buffer{}, lin, nil, bad); err == nil {
+		if err := e.WriteSnapshot(&bytes.Buffer{}, SnapshotParts{Lineage: lin, Sketch: bad}); err == nil {
 			t.Fatalf("writer accepted invalid sketch %+v", bad)
 		}
 	}
@@ -251,14 +254,14 @@ func TestSnapshotSketchRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	expectReject := func(name string, contents []byte) {
 		t.Helper()
-		if _, _, _, _, err := ReadSnapshotSketch(bytes.NewReader(contents)); err == nil {
+		if _, _, err := ReadSnapshot(bytes.NewReader(contents)); err == nil {
 			t.Fatalf("%s: heap reader accepted corrupt sketch", name)
 		}
 		path := filepath.Join(dir, name+".bin")
 		if err := os.WriteFile(path, contents, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, _, ms, err := OpenSnapshotMappedSketch(path)
+		_, _, ms, err := OpenSnapshotMapped(path)
 		if err == nil {
 			ms.Close()
 			t.Fatalf("%s: mapped open accepted corrupt sketch", name)

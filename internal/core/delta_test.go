@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"credist/internal/actionlog"
+	"credist/internal/celf"
 	"credist/internal/graph"
-	"credist/internal/seedsel"
 )
 
 // TestAppendActionsBitIdenticalToRescan is the streaming engine's core
@@ -46,8 +46,8 @@ func TestAppendActionsBitIdenticalToRescan(t *testing.T) {
 			}
 		}
 
-		rf := seedsel.CELF(full, 8)
-		ri := seedsel.CELF(inc, 8)
+		rf := celf.Run(full, 8, celf.Options{})
+		ri := celf.Run(inc, 8, celf.Options{})
 		if len(rf.Seeds) != len(ri.Seeds) {
 			t.Fatalf("trial %d: CELF lengths %d vs %d", trial, len(rf.Seeds), len(ri.Seeds))
 		}
@@ -123,8 +123,8 @@ func TestAppendActionsLeavesBaseFrozen(t *testing.T) {
 	}
 	// Selection on a clone of the successor exercises copy-on-write over
 	// both shared base shards and the successor's own delta shards.
-	sel := seedsel.CELF(succ.Clone(), 6)
-	ref := seedsel.CELF(NewEngine(g, log, opts), 6)
+	sel := celf.Run(succ.Clone(), 6, celf.Options{})
+	ref := celf.Run(NewEngine(g, log, opts), 6, celf.Options{})
 	for i := range ref.Seeds {
 		if sel.Seeds[i] != ref.Seeds[i] || sel.Gains[i] != ref.Gains[i] {
 			t.Fatalf("successor CELF diverged at %d: (%d, %b) vs (%d, %b)",
@@ -181,8 +181,8 @@ func TestCompactFoldsDelta(t *testing.T) {
 		}
 	}
 	// A post-compact clone shares every shard yet selects identically.
-	a := seedsel.CELF(e.Clone(), 5)
-	b := seedsel.CELF(NewEngine(g, log, opts), 5)
+	a := celf.Run(e.Clone(), 5, celf.Options{})
+	b := celf.Run(NewEngine(g, log, opts), 5, celf.Options{})
 	for i := range b.Seeds {
 		if a.Seeds[i] != b.Seeds[i] || a.Gains[i] != b.Gains[i] {
 			t.Fatalf("post-compact clone CELF diverged at %d", i)

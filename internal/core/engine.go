@@ -482,7 +482,7 @@ func (e *Engine) DeltaEntries() int64 { return e.deltaEntries }
 func (e *Engine) DeltaActions() int { return len(e.uc) - e.baseActions }
 
 // NumNodes returns the user-universe size, making Engine usable as a
-// seedsel.Estimator.
+// celf.Estimator.
 func (e *Engine) NumNodes() int { return e.numUsers }
 
 // Workers returns the raw Options.Workers the engine was built with

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"credist/internal/actionlog"
+	"credist/internal/celf"
 	"credist/internal/graph"
-	"credist/internal/seedsel"
 )
 
 // figure1 builds the running example of the paper (Figure 1): one action
@@ -263,16 +263,16 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("lambda=%g: Gain(%d) not bit-identical: %b vs %b", lambda, u, gs, gp)
 			}
 		}
-		rs := seedsel.CELF(serial, 8)
-		rp := seedsel.CELF(parallel, 8)
+		rs := celf.Run(serial, 8, celf.Options{})
+		rp := celf.Run(parallel, 8, celf.Options{})
 		// A third engine commits every seed through CommitSeedRow's action
 		// fan-out, forced on for these small payloads.
 		fanned := NewEngine(g, log, Options{Workers: 4, Lambda: lambda, Credit: credit})
 		restore := lowerParallelCommitCells(t)
-		rf := seedsel.CELF(fanned, 8)
+		rf := celf.Run(fanned, 8, celf.Options{})
 		restore()
 		for name, other := range map[string]struct {
-			res seedsel.Result
+			res celf.Result
 			eng *Engine
 		}{"parallel": {rp, parallel}, "fanned": {rf, fanned}} {
 			ro := other.res
@@ -346,8 +346,8 @@ func TestEngineClone(t *testing.T) {
 	// Drive the clone and a from-scratch reference engine identically.
 	clone := base.Clone()
 	ref := NewEngine(g, log, opts)
-	res := seedsel.CELF(clone, 6)
-	refRes := seedsel.CELF(ref, 6)
+	res := celf.Run(clone, 6, celf.Options{})
+	refRes := celf.Run(ref, 6, celf.Options{})
 	for i := range res.Seeds {
 		if res.Seeds[i] != refRes.Seeds[i] || res.Gains[i] != refRes.Gains[i] {
 			t.Fatalf("clone CELF diverged at %d: (%d, %b) vs (%d, %b)",

@@ -5,8 +5,8 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"credist/internal/celf"
 	"credist/internal/graph"
-	"credist/internal/seedsel"
 )
 
 // TestCELFEqualsGreedyOnEngine: the lazy-forward optimization must select
@@ -21,24 +21,24 @@ func TestCELFEqualsGreedyOnEngine(t *testing.T) {
 		g, log := randomInstance(rng, 20+rng.IntN(10), 8+rng.IntN(6))
 		k := 2 + rng.IntN(4)
 
-		celf := seedsel.CELF(NewEngine(g, log, Options{}), k)
-		greedy := seedsel.Greedy(NewEngine(g, log, Options{}), k)
+		lazy := celf.Run(NewEngine(g, log, Options{}), k, celf.Options{})
+		greedy := celf.Greedy(NewEngine(g, log, Options{}), k)
 
-		if len(celf.Seeds) != len(greedy.Seeds) {
-			t.Fatalf("trial %d: seed counts differ: %d vs %d", trial, len(celf.Seeds), len(greedy.Seeds))
+		if len(lazy.Seeds) != len(greedy.Seeds) {
+			t.Fatalf("trial %d: seed counts differ: %d vs %d", trial, len(lazy.Seeds), len(greedy.Seeds))
 		}
-		for i := range celf.Gains {
-			if math.Abs(celf.Gains[i]-greedy.Gains[i]) > 1e-9 {
+		for i := range lazy.Gains {
+			if math.Abs(lazy.Gains[i]-greedy.Gains[i]) > 1e-9 {
 				t.Fatalf("trial %d: gain %d differs: %g vs %g",
-					trial, i, celf.Gains[i], greedy.Gains[i])
+					trial, i, lazy.Gains[i], greedy.Gains[i])
 			}
 		}
-		if math.Abs(celf.Spread()-greedy.Spread()) > 1e-9 {
-			t.Fatalf("trial %d: spreads differ: %g vs %g", trial, celf.Spread(), greedy.Spread())
+		if math.Abs(lazy.Spread()-greedy.Spread()) > 1e-9 {
+			t.Fatalf("trial %d: spreads differ: %g vs %g", trial, lazy.Spread(), greedy.Spread())
 		}
-		if celf.Lookups > greedy.Lookups {
+		if lazy.Lookups > greedy.Lookups {
 			t.Fatalf("trial %d: CELF did more lookups (%d) than greedy (%d)",
-				trial, celf.Lookups, greedy.Lookups)
+				trial, lazy.Lookups, greedy.Lookups)
 		}
 	}
 }
@@ -65,7 +65,7 @@ func TestGreedyApproximationOnSmallInstances(t *testing.T) {
 				}
 			}
 		}
-		res := seedsel.CELF(NewEngine(g, log, Options{}), k)
+		res := celf.Run(NewEngine(g, log, Options{}), k, celf.Options{})
 		got := ev.Spread(res.Seeds)
 		if best > 0 && got < bound*best-1e-9 {
 			t.Fatalf("trial %d: greedy %g below (1-1/e)*opt = %g", trial, got, bound*best)

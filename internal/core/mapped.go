@@ -18,7 +18,7 @@ import (
 // Structural validation still runs in full before the first query: the
 // header CRC, every offset table, every key and id. What a mapped open
 // does not do is copy or checksum the credit payload; the full-file CRC
-// footer is verified by the heap reader (ReadSnapshotPrefix), which
+// footer is verified by the heap reader (ReadSnapshot), which
 // remains the integrity-checking path.
 
 // mdirEntry is one row-directory record of a version-3 base section:
@@ -318,93 +318,76 @@ func (m *MappedSnapshot) Backend() string {
 	return m.backend
 }
 
-// OpenSnapshotMapped opens a version-3 snapshot file with its frozen base
-// served straight from the memory-mapped file: the header (lineage,
-// parameters, per-user action lists, seed prefix) is parsed and
-// CRC-verified, the base section's offset tables, keys, and ids are
-// structurally validated in full, and then every shard is an in-place
-// window into the mapping — no cell is parsed, no row allocated. The
-// returned engine behaves exactly like one from ReadSnapshotPrefix
-// (frozen, no committed seeds, bit-identical Gain/Spread/CELF); a commit
-// promotes each shard it touches to heap outer slices over the same
-// mapped rows, leaving the mapping shared and untouched. The engine is only valid while the returned
-// MappedSnapshot stays open.
+// OpenSnapshotMapped opens a version-3 to 6 snapshot file with its frozen
+// base served straight from the memory-mapped file: the header (lineage,
+// parameters, per-user action lists, seed prefix, and any sketch,
+// provenance, or slice-range section) is parsed and CRC-verified, the base
+// section's offset tables, keys, and ids are structurally validated in
+// full, and then every shard is an in-place window into the mapping — no
+// cell is parsed, no row allocated. The returned engine and parts match
+// ReadSnapshot's (frozen, no committed seeds, bit-identical
+// Gain/Spread/CELF); a commit promotes each shard it touches to heap outer
+// slices over the same mapped rows, leaving the mapping shared and
+// untouched. The engine is only valid while the returned MappedSnapshot
+// stays open; the sketch and provenance sections are decoded onto the
+// heap and outlive it.
 //
 // Version-1/2 files have no mapped-addressable base section and are
 // refused; load them heap-resident and re-save to upgrade. Unlike the
 // heap reader, the mapped open does not checksum the cell payload (that
 // would fault in every cold page the layout exists to avoid); the footer
 // is still present and verified whenever the same file is read with
-// ReadSnapshotPrefix.
-func OpenSnapshotMapped(path string) (*Engine, Lineage, *SeedPrefix, *MappedSnapshot, error) {
-	eng, lin, prefix, _, ms, err := OpenSnapshotMappedSketch(path)
-	return eng, lin, prefix, ms, err
-}
-
-// OpenSnapshotMappedSketch is OpenSnapshotMapped plus the stored RR
-// sketch (nil for files not carrying one), discarding any stored
-// provenance index. See OpenSnapshotMappedProv.
-func OpenSnapshotMappedSketch(path string) (*Engine, Lineage, *SeedPrefix, *RRSketch, *MappedSnapshot, error) {
-	eng, lin, prefix, sketch, _, ms, err := OpenSnapshotMappedProv(path)
-	return eng, lin, prefix, sketch, ms, err
-}
-
-// OpenSnapshotMappedProv is OpenSnapshotMapped plus the stored RR sketch
-// and provenance index (nil for files not carrying them). Both sections
-// sit inside the header CRC, so even the mapped open — which skips the
-// footer — reads them corruption-checked.
-func OpenSnapshotMappedProv(path string) (*Engine, Lineage, *SeedPrefix, *RRSketch, *ProvIndex, *MappedSnapshot, error) {
-	var lin Lineage
+// ReadSnapshot.
+func OpenSnapshotMapped(path string) (*Engine, SnapshotParts, *MappedSnapshot, error) {
 	data, release, err := mmapFile(path)
 	if err != nil {
-		return nil, lin, nil, nil, nil, nil, err
+		return nil, SnapshotParts{}, nil, err
 	}
 	ms := &MappedSnapshot{data: data, release: release, backend: "mmap"}
 	if !mappedAliasSupported() {
 		ms.backend = "heap"
 	}
-	eng, lin, prefix, sketch, prov, err := parseSnapshotV3(data, ms.backend == "mmap")
+	eng, parts, err := parseSnapshotV3(data, ms.backend == "mmap")
 	if err != nil {
 		ms.Close()
-		return nil, lin, nil, nil, nil, nil, err
+		return nil, SnapshotParts{}, nil, err
 	}
-	return eng, lin, prefix, sketch, prov, ms, nil
+	return eng, parts, ms, nil
 }
 
-// parseSnapshotV3 parses a version-3 snapshot payload held in data
+// parseSnapshotV3 parses a version-3 to 6 snapshot payload held in data
 // (footer included). With alias set, shards alias data in place
 // (mappedShard); otherwise they are decoded into heap ucActions. The
 // header CRC is verified either way; the full-file footer CRC is the
-// caller's concern (ReadSnapshotPrefix verifies it first, the mapped
-// open deliberately skips it).
-func parseSnapshotV3(data []byte, alias bool) (*Engine, Lineage, *SeedPrefix, *RRSketch, *ProvIndex, error) {
-	var lin Lineage
+// caller's concern (ReadSnapshot verifies it first, the mapped open
+// deliberately skips it).
+func parseSnapshotV3(data []byte, alias bool) (*Engine, SnapshotParts, error) {
 	if len(data) < len(snapshotMagic)+4+4 {
-		return nil, lin, nil, nil, nil, fmt.Errorf("core: snapshot: truncated input: shorter than the fixed header")
+		return nil, SnapshotParts{}, fmt.Errorf("core: snapshot: truncated input: shorter than the fixed header")
 	}
 	if !IsSnapshotHeader(data) {
-		return nil, lin, nil, nil, nil, fmt.Errorf("core: snapshot: bad magic (not a snapshot file)")
+		return nil, SnapshotParts{}, fmt.Errorf("core: snapshot: bad magic (not a snapshot file)")
 	}
 	payload := data[:len(data)-4]
 	sc := &snapCursor{b: payload, off: len(snapshotMagic)}
 	version := sc.u32()
 	if version != snapshotVersion && version != snapshotVersionSlice && version != snapshotVersionSketch && version != snapshotVersionProv {
 		if version == snapshotVersionNoBase || version == snapshotVersionNoPrefix {
-			return nil, lin, nil, nil, nil, fmt.Errorf("core: snapshot: version %d predates the mapped base section (version %d); load it without mmap or re-save it", version, snapshotVersion)
+			return nil, SnapshotParts{}, fmt.Errorf("core: snapshot: version %d predates the mapped base section (version %d); load it without mmap or re-save it", version, snapshotVersion)
 		}
-		return nil, lin, nil, nil, nil, fmt.Errorf("core: snapshot: unsupported version %d (supported: 1 through %d)", version, snapshotVersionProv)
+		return nil, SnapshotParts{}, fmt.Errorf("core: snapshot: unsupported version %d (supported: 1 through %d)", version, snapshotVersionProv)
 	}
 	lin, lambda, credit, err := parseSnapshotHeader(sc)
 	if err != nil {
-		return nil, lin, nil, nil, nil, err
+		return nil, SnapshotParts{}, err
 	}
 	e := newSnapshotEngine(lin, lambda, credit)
 	if err := parseUsers(sc, lin, e); err != nil {
-		return nil, lin, nil, nil, nil, err
+		return nil, SnapshotParts{}, err
 	}
-	prefix, err := parseSeedPrefix(sc, lin.NumUsers)
-	if err != nil {
-		return nil, lin, nil, nil, nil, err
+	parts := SnapshotParts{Lineage: lin}
+	if parts.Prefix, err = parseSeedPrefix(sc, lin.NumUsers); err != nil {
+		return nil, SnapshotParts{}, err
 	}
 	// Version-4 slices declare the influencer-row range their base section
 	// holds; the base walk below then enforces it row by row.
@@ -412,37 +395,36 @@ func parseSnapshotV3(data []byte, alias bool) (*Engine, Lineage, *SeedPrefix, *R
 	if version == snapshotVersionSlice {
 		rowLo, rowHi = int(sc.u32()), int(sc.u32())
 		if sc.err == nil && (rowLo < 0 || rowLo > rowHi || rowHi > lin.NumUsers) {
-			return nil, lin, nil, nil, nil, fmt.Errorf("core: snapshot: slice rows [%d,%d) outside the universe [0,%d)", rowLo, rowHi, lin.NumUsers)
+			return nil, SnapshotParts{}, fmt.Errorf("core: snapshot: slice rows [%d,%d) outside the universe [0,%d)", rowLo, rowHi, lin.NumUsers)
 		}
 		e.partitioned = true
 		e.partLo, e.partHi = rowLo, rowHi
+		parts.Slice = &RowRange{Lo: rowLo, Hi: rowHi}
 	}
 	// Version-5 snapshots carry the approximate tier's RR sketch between
 	// the prefix section and the header CRC, so both the heap and the
 	// mapped open restore it integrity-checked.
-	var sketch *RRSketch
 	if version == snapshotVersionSketch {
-		if sketch, err = parseSketchSection(sc, lin.NumUsers); err != nil {
-			return nil, lin, nil, nil, nil, err
+		if parts.Sketch, err = parseSketchSection(sc, lin.NumUsers); err != nil {
+			return nil, SnapshotParts{}, err
 		}
 	}
 	// Version-6 snapshots carry a flags byte, then the optional sketch
 	// section, then the provenance section — all inside the header CRC.
 	// The prov flag must be set (a provless engine state writes version 3
 	// or 5, keeping its encoding unique) and stray bits are refused.
-	var prov *ProvIndex
 	if version == snapshotVersionProv {
 		flags := sc.u8()
 		if sc.err == nil && (flags&provFlagProv == 0 || flags&^(provFlagProv|provFlagSketch) != 0) {
-			return nil, lin, nil, nil, nil, fmt.Errorf("core: snapshot: version-%d flags %#02x (want the provenance bit set and no stray bits)", snapshotVersionProv, flags)
+			return nil, SnapshotParts{}, fmt.Errorf("core: snapshot: version-%d flags %#02x (want the provenance bit set and no stray bits)", snapshotVersionProv, flags)
 		}
 		if flags&provFlagSketch != 0 {
-			if sketch, err = parseSketchSection(sc, lin.NumUsers); err != nil {
-				return nil, lin, nil, nil, nil, err
+			if parts.Sketch, err = parseSketchSection(sc, lin.NumUsers); err != nil {
+				return nil, SnapshotParts{}, err
 			}
 		}
-		if prov, err = parseProvSection(sc, lin.NumUsers, lin.NumActions); err != nil {
-			return nil, lin, nil, nil, nil, err
+		if parts.Prov, err = parseProvSection(sc, lin.NumUsers, lin.NumActions); err != nil {
+			return nil, SnapshotParts{}, err
 		}
 	}
 	// Header CRC: everything from the magic up to this field. It makes the
@@ -451,24 +433,24 @@ func parseSnapshotV3(data []byte, alias bool) (*Engine, Lineage, *SeedPrefix, *R
 	headerEnd := sc.off
 	declared := sc.u32()
 	if sc.err != nil {
-		return nil, lin, nil, nil, nil, sc.err
+		return nil, SnapshotParts{}, sc.err
 	}
 	if got := crc32.ChecksumIEEE(payload[:headerEnd]); got != declared {
-		return nil, lin, nil, nil, nil, fmt.Errorf("core: snapshot: header checksum mismatch (file %08x, computed %08x)", declared, got)
+		return nil, SnapshotParts{}, fmt.Errorf("core: snapshot: header checksum mismatch (file %08x, computed %08x)", declared, got)
 	}
 	padLen := (8 - sc.off%8) % 8
 	for _, b := range sc.take(padLen) {
 		if b != 0 {
-			return nil, lin, nil, nil, nil, fmt.Errorf("core: snapshot: non-zero alignment padding before the base section")
+			return nil, SnapshotParts{}, fmt.Errorf("core: snapshot: non-zero alignment padding before the base section")
 		}
 	}
 	if sc.err != nil {
-		return nil, lin, nil, nil, nil, sc.err
+		return nil, SnapshotParts{}, sc.err
 	}
 	baseOff := sc.off
 	extents, total, err := validateBaseSection(payload, baseOff, lin.NumUsers, lin.NumActions, rowLo, rowHi)
 	if err != nil {
-		return nil, lin, nil, nil, nil, err
+		return nil, SnapshotParts{}, err
 	}
 	e.entries = total
 	if alias && (len(payload) == baseOff || uintptr(unsafe.Pointer(&payload[baseOff]))%8 == 0) {
@@ -478,7 +460,7 @@ func parseSnapshotV3(data []byte, alias bool) (*Engine, Lineage, *SeedPrefix, *R
 	} else {
 		decodeHeapShards(e, payload, extents, lin.NumUsers)
 	}
-	return e, lin, prefix, sketch, prov, nil
+	return e, parts, nil
 }
 
 // aliasShard wraps one validated block as an in-place mappedShard.

@@ -13,7 +13,6 @@ import (
 	"credist/internal/actionlog"
 	"credist/internal/celf"
 	"credist/internal/graph"
-	"credist/internal/seedsel"
 )
 
 // writeSnapshotFile saves the engine (with an optional prefix) as a
@@ -21,8 +20,8 @@ import (
 func writeSnapshotFile(t *testing.T, e *Engine, lin Lineage, prefix *SeedPrefix) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := e.WriteSnapshotPrefix(&buf, lin, prefix); err != nil {
-		t.Fatalf("WriteSnapshotPrefix: %v", err)
+	if err := e.WriteSnapshot(&buf, SnapshotParts{Lineage: lin, Prefix: prefix}); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "model.bin")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -34,22 +33,23 @@ func writeSnapshotFile(t *testing.T, e *Engine, lin Lineage, prefix *SeedPrefix)
 // openMapped opens the file and registers the mapping for cleanup.
 func openMapped(t *testing.T, path string) (*Engine, Lineage, *SeedPrefix, *MappedSnapshot) {
 	t.Helper()
-	eng, lin, prefix, ms, err := OpenSnapshotMapped(path)
+	eng, sp, ms, err := OpenSnapshotMapped(path)
 	if err != nil {
 		t.Fatalf("OpenSnapshotMapped: %v", err)
 	}
+	lin, prefix := sp.Lineage, sp.Prefix
 	t.Cleanup(func() { ms.Close() })
 	return eng, lin, prefix, ms
 }
 
 // TestOpenSnapshotMappedBitIdentical is the cross-backend half of the
 // determinism wall: the same snapshot file served heap-resident
-// (ReadSnapshotPrefix) and memory-mapped (OpenSnapshotMapped) must answer
+// (ReadSnapshot) and memory-mapped (OpenSnapshotMapped) must answer
 // every Gain with the same bits and select the same CELF seeds with the
 // same gains — at one worker and at full fan-out alike.
 func TestOpenSnapshotMappedBitIdentical(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 41, 60, 40)
-	sel := seedsel.CELF(e.Clone(), 5)
+	sel := celf.Run(e.Clone(), 5, celf.Options{})
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	path := writeSnapshotFile(t, e, lin, prefix)
 
@@ -57,10 +57,11 @@ func TestOpenSnapshotMappedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap, heapLin, heapPrefix, err := ReadSnapshotPrefix(f)
+	heap, sp, err := ReadSnapshot(f)
+	heapLin, heapPrefix := sp.Lineage, sp.Prefix
 	f.Close()
 	if err != nil {
-		t.Fatalf("ReadSnapshotPrefix: %v", err)
+		t.Fatalf("ReadSnapshot: %v", err)
 	}
 	mapped, mapLin, mapPrefix, ms := openMapped(t, path)
 
@@ -129,7 +130,7 @@ func TestMappedPromoteOnWrite(t *testing.T) {
 	}
 
 	// Reference bits from the heap engine.
-	heapSel := seedsel.CELF(e.Clone(), 4)
+	heapSel := celf.Run(e.Clone(), 4, celf.Options{})
 
 	before := make([]float64, mapped.NumNodes())
 	for u := range before {
@@ -138,7 +139,7 @@ func TestMappedPromoteOnWrite(t *testing.T) {
 	mappedBefore := mapped.MappedBytes()
 
 	clone := mapped.Clone()
-	cloneSel := seedsel.CELF(clone, 4)
+	cloneSel := celf.Run(clone, 4, celf.Options{})
 	for i := range heapSel.Seeds {
 		if cloneSel.Seeds[i] != heapSel.Seeds[i] || cloneSel.Gains[i] != heapSel.Gains[i] {
 			t.Fatalf("seed %d: mapped clone (%d, %b), heap (%d, %b)",
@@ -223,7 +224,7 @@ func TestMappedIngestMatchesRescan(t *testing.T) {
 func TestOpenSnapshotMappedRejects(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 53, 30, 16)
 	var buf bytes.Buffer
-	if err := e.WriteSnapshotPrefix(&buf, lin, nil); err != nil {
+	if err := e.WriteSnapshot(&buf, SnapshotParts{Lineage: lin}); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -239,7 +240,7 @@ func TestOpenSnapshotMappedRejects(t *testing.T) {
 		if err := os.WriteFile(path, contents, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, ms, err := OpenSnapshotMapped(path)
+		_, _, ms, err := OpenSnapshotMapped(path)
 		if err == nil {
 			ms.Close()
 		}
@@ -306,7 +307,7 @@ func TestMappedEngineSnapshotRoundTrip(t *testing.T) {
 	}
 	mapped, mapLin, _, _ := openMapped(t, path)
 	var again bytes.Buffer
-	if err := mapped.WriteSnapshot(&again, mapLin); err != nil {
+	if err := mapped.WriteSnapshot(&again, SnapshotParts{Lineage: mapLin}); err != nil {
 		t.Fatalf("WriteSnapshot from mapped engine: %v", err)
 	}
 	if !bytes.Equal(again.Bytes(), original) {
@@ -357,7 +358,7 @@ func TestResidentBytesAccounting(t *testing.T) {
 	// column mirrors move to the heap, their directories leave the mapped
 	// count, and the rows they kept stay mapped.
 	heapBefore, mappedBefore := mapped.HeapBytes(), mapped.MappedBytes()
-	seedsel.CELF(mapped, 1)
+	celf.Run(mapped, 1, celf.Options{})
 	if mapped.HeapBytes() <= heapBefore || mapped.MappedBytes() >= mappedBefore {
 		t.Errorf("promote-on-commit did not move footprint heapward: heap %d->%d mapped %d->%d",
 			heapBefore, mapped.HeapBytes(), mappedBefore, mapped.MappedBytes())

@@ -149,8 +149,8 @@ func TestSnapshotSliceRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := full.WriteSnapshotSlice(&buf, lin, nil, lo, hi); err != nil {
-		t.Fatalf("WriteSnapshotSlice: %v", err)
+	if err := full.WriteSnapshot(&buf, SnapshotParts{Lineage: lin, Slice: &RowRange{Lo: lo, Hi: hi}}); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	raw := buf.Bytes()
 
@@ -159,11 +159,11 @@ func TestSnapshotSliceRoundTrip(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 
-	heapEng, _, _, err := ReadSnapshotPrefix(bytes.NewReader(raw))
+	heapEng, _, err := ReadSnapshot(bytes.NewReader(raw))
 	if err != nil {
-		t.Fatalf("ReadSnapshotPrefix: %v", err)
+		t.Fatalf("ReadSnapshot: %v", err)
 	}
-	mapEng, _, _, ms, err := OpenSnapshotMapped(path)
+	mapEng, _, ms, err := OpenSnapshotMapped(path)
 	if err != nil {
 		t.Fatalf("OpenSnapshotMapped: %v", err)
 	}
@@ -188,9 +188,9 @@ func TestSnapshotSliceRoundTrip(t *testing.T) {
 			}
 		}
 		// The byte-identical re-encode rule, extended to slices: a loaded
-		// partition re-encodes through WriteSnapshotSlice at its own range.
+		// partition re-encodes as a slice of its own range.
 		var re bytes.Buffer
-		if err := eng.WriteSnapshotSlice(&re, lin, nil, lo, hi); err != nil {
+		if err := eng.WriteSnapshot(&re, SnapshotParts{Lineage: lin, Slice: &RowRange{Lo: lo, Hi: hi}}); err != nil {
 			t.Fatalf("%s: re-encode: %v", name, err)
 		}
 		if !bytes.Equal(re.Bytes(), raw) {
@@ -206,10 +206,10 @@ func TestSnapshotSliceWriterRejections(t *testing.T) {
 	lin := DatasetLineage("slice-rejects", g, log)
 
 	var buf bytes.Buffer
-	if err := full.WriteSnapshotSlice(&buf, lin, nil, 10, 35); err == nil {
+	if err := full.WriteSnapshot(&buf, SnapshotParts{Lineage: lin, Slice: &RowRange{Lo: 10, Hi: 35}}); err == nil {
 		t.Fatalf("out-of-universe slice range accepted")
 	}
-	if err := full.WriteSnapshotSlice(&buf, lin, nil, 20, 10); err == nil {
+	if err := full.WriteSnapshot(&buf, SnapshotParts{Lineage: lin, Slice: &RowRange{Lo: 20, Hi: 10}}); err == nil {
 		t.Fatalf("inverted slice range accepted")
 	}
 
@@ -219,30 +219,30 @@ func TestSnapshotSliceWriterRejections(t *testing.T) {
 	}
 	// A partition engine holds only its own rows: writing a full snapshot,
 	// or a slice at any other range, would mislabel partial data.
-	if err := p.WriteSnapshotPrefix(&buf, lin, nil); err == nil || !strings.Contains(err.Error(), "WriteSnapshotSlice") {
+	if err := p.WriteSnapshot(&buf, SnapshotParts{Lineage: lin}); err == nil || !strings.Contains(err.Error(), "as a slice") {
 		t.Fatalf("full snapshot of a partition: %v", err)
 	}
-	if err := p.WriteSnapshotSlice(&buf, lin, nil, 5, 20); err == nil {
+	if err := p.WriteSnapshot(&buf, SnapshotParts{Lineage: lin, Slice: &RowRange{Lo: 5, Hi: 20}}); err == nil {
 		t.Fatalf("partition wrote a foreign range")
 	}
-	if err := p.WriteSnapshotSlice(&buf, lin, nil, 5, 15); err != nil {
+	if err := p.WriteSnapshot(&buf, SnapshotParts{Lineage: lin, Slice: &RowRange{Lo: 5, Hi: 15}}); err != nil {
 		t.Fatalf("partition writing its own range: %v", err)
 	}
 
 	// Full snapshots are untouched by the slice format: a full engine
-	// writing [0, numUsers) through WriteSnapshotSlice is still a
-	// version-4 file, while WriteSnapshotPrefix keeps emitting version 3.
+	// writing [0, numUsers) as a slice is still a version-4 file, while
+	// the same write without a range is version 3.
 	var v3, v4 bytes.Buffer
-	if err := full.WriteSnapshotPrefix(&v3, lin, nil); err != nil {
-		t.Fatalf("WriteSnapshotPrefix: %v", err)
+	if err := full.WriteSnapshot(&v3, SnapshotParts{Lineage: lin}); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	if err := full.WriteSnapshotSlice(&v4, lin, nil, 0, full.NumNodes()); err != nil {
-		t.Fatalf("WriteSnapshotSlice(full range): %v", err)
+	if err := full.WriteSnapshot(&v4, SnapshotParts{Lineage: lin, Slice: &RowRange{Lo: 0, Hi: full.NumNodes()}}); err != nil {
+		t.Fatalf("WriteSnapshot(full range): %v", err)
 	}
 	if bytes.Equal(v3.Bytes(), v4.Bytes()) {
 		t.Fatalf("v3 and v4 encodings are byte-identical; version bump missing")
 	}
-	eng, _, _, err := ReadSnapshotPrefix(&v4)
+	eng, _, err := ReadSnapshot(&v4)
 	if err != nil {
 		t.Fatalf("read full-range slice: %v", err)
 	}

@@ -343,69 +343,65 @@ func TestSnapshotProvRoundTrip(t *testing.T) {
 	}
 
 	var v6 bytes.Buffer
-	if err := e.WriteSnapshotProv(&v6, lin, nil, nil, prov); err != nil {
-		t.Fatalf("WriteSnapshotProv: %v", err)
+	if err := e.WriteSnapshot(&v6, SnapshotParts{Lineage: lin, Prov: prov}); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	if got := binary.LittleEndian.Uint32(v6.Bytes()[len(snapshotMagic):]); got != snapshotVersionProv {
 		t.Fatalf("prov snapshot has version %d, want %d", got, snapshotVersionProv)
 	}
-	eng, lin2, pfx, sk, prov2, err := ReadSnapshotProv(bytes.NewReader(v6.Bytes()))
+	eng, sp, err := ReadSnapshot(bytes.NewReader(v6.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadSnapshotProv: %v", err)
+		t.Fatalf("ReadSnapshot: %v", err)
 	}
-	if pfx != nil || sk != nil {
+	if sp.Prefix != nil || sp.Sketch != nil {
 		t.Fatalf("unexpected prefix/sketch from provless-sketch file")
 	}
-	if !reflect.DeepEqual(prov2, prov) {
+	if !reflect.DeepEqual(sp.Prov, prov) {
 		t.Fatal("restored index differs from written index")
 	}
 	requireEnginesBitIdentical(t, e, eng, 4)
 	var again bytes.Buffer
-	if err := eng.WriteSnapshotProv(&again, lin2, pfx, sk, prov2); err != nil {
+	if err := eng.WriteSnapshot(&again, sp); err != nil {
 		t.Fatalf("re-encode: %v", err)
 	}
 	if !bytes.Equal(again.Bytes(), v6.Bytes()) {
 		t.Fatalf("v6 re-encode differs: %d vs %d bytes", again.Len(), v6.Len())
 	}
 
-	// Sectionless writes never escalate the version: nil and empty prov
-	// hand back the exact v3 bytes, and a sketch-only write the exact v5
-	// bytes.
-	var v3, provNil, provEmpty bytes.Buffer
-	if err := e.WriteSnapshot(&v3, lin); err != nil {
+	// An empty index never escalates the version: it hands back the exact
+	// v3 bytes, and next to a sketch the exact v5 bytes.
+	var v3, provEmpty bytes.Buffer
+	if err := e.WriteSnapshot(&v3, SnapshotParts{Lineage: lin}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteSnapshotProv(&provNil, lin, nil, nil, nil); err != nil {
+	if err := e.WriteSnapshot(&provEmpty, SnapshotParts{Lineage: lin, Prov: &ProvIndex{}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteSnapshotProv(&provEmpty, lin, nil, nil, &ProvIndex{}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(provNil.Bytes(), v3.Bytes()) || !bytes.Equal(provEmpty.Bytes(), v3.Bytes()) {
-		t.Fatal("provless WriteSnapshotProv is not byte-identical to WriteSnapshot")
+	if !bytes.Equal(provEmpty.Bytes(), v3.Bytes()) {
+		t.Fatal("an empty provenance index is not byte-identical to none")
 	}
 	sketch := &RRSketch{Seed: 9, Roots: 3, Sets: [][]graph.NodeID{{0, 1}, {2}, {3, 4, 5}}}
-	var v5, v5viaProv bytes.Buffer
-	if err := e.WriteSnapshotSketch(&v5, lin, nil, sketch); err != nil {
+	var v5, v5ProvEmpty bytes.Buffer
+	if err := e.WriteSnapshot(&v5, SnapshotParts{Lineage: lin, Sketch: sketch}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteSnapshotProv(&v5viaProv, lin, nil, sketch, nil); err != nil {
+	if err := e.WriteSnapshot(&v5ProvEmpty, SnapshotParts{Lineage: lin, Sketch: sketch, Prov: &ProvIndex{}}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(v5viaProv.Bytes(), v5.Bytes()) {
-		t.Fatal("sketch-only WriteSnapshotProv is not byte-identical to WriteSnapshotSketch")
+	if !bytes.Equal(v5ProvEmpty.Bytes(), v5.Bytes()) {
+		t.Fatal("a sketch with an empty provenance index is not byte-identical to the sketch alone")
 	}
 
 	// Both sections together round-trip too.
 	var both bytes.Buffer
-	if err := e.WriteSnapshotProv(&both, lin, nil, sketch, prov); err != nil {
+	if err := e.WriteSnapshot(&both, SnapshotParts{Lineage: lin, Sketch: sketch, Prov: prov}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, sk2, prov3, err := ReadSnapshotProv(bytes.NewReader(both.Bytes()))
+	_, sp, err = ReadSnapshot(bytes.NewReader(both.Bytes()))
 	if err != nil {
 		t.Fatalf("read sketch+prov: %v", err)
 	}
-	if !reflect.DeepEqual(sk2, sketch) || !reflect.DeepEqual(prov3, prov) {
+	if !reflect.DeepEqual(sp.Sketch, sketch) || !reflect.DeepEqual(sp.Prov, prov) {
 		t.Fatal("sketch+prov round-trip lost a section")
 	}
 
@@ -415,12 +411,12 @@ func TestSnapshotProvRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, v6.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	meng, _, _, _, mprov, ms, err := OpenSnapshotMappedProv(path)
+	meng, sp, ms, err := OpenSnapshotMapped(path)
 	if err != nil {
-		t.Fatalf("OpenSnapshotMappedProv: %v", err)
+		t.Fatalf("OpenSnapshotMapped: %v", err)
 	}
 	defer ms.Close()
-	if !reflect.DeepEqual(mprov, prov) {
+	if !reflect.DeepEqual(sp.Prov, prov) {
 		t.Fatal("mapped open returned a different index")
 	}
 	for u := 0; u < g.NumNodes(); u++ {
@@ -437,7 +433,7 @@ func TestSnapshotProvRejects(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 67, 18, 7)
 	prov := e.BuildProvIndex()
 	var buf bytes.Buffer
-	if err := e.WriteSnapshotProv(&buf, lin, nil, nil, prov); err != nil {
+	if err := e.WriteSnapshot(&buf, SnapshotParts{Lineage: lin, Prov: prov}); err != nil {
 		t.Fatal(err)
 	}
 	v6 := buf.Bytes()
@@ -484,11 +480,11 @@ func TestSnapshotProvRejects(t *testing.T) {
 	}
 	for _, c := range cases {
 		bad := restamp(func() []byte { b := append([]byte(nil), v6...); c.mut(b); return b }())
-		_, _, _, _, _, err := ReadSnapshotProv(bytes.NewReader(bad))
+		_, _, err := ReadSnapshot(bytes.NewReader(bad))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: err = %v, want mention of %q", c.name, err, c.want)
 		}
-		if _, _, _, _, err := ReadSnapshotSketch(bytes.NewReader(bad)); err == nil {
+		if _, _, err := ReadSnapshot(bytes.NewReader(bad)); err == nil {
 			t.Fatalf("%s: discarding reader accepted corrupt input", c.name)
 		}
 	}
@@ -498,12 +494,12 @@ func TestSnapshotProvRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.WriteSnapshotProv(&bytes.Buffer{}, lin, nil, nil, p.BuildProvIndex()); err == nil {
+	if err := p.WriteSnapshot(&bytes.Buffer{}, SnapshotParts{Lineage: lin, Prov: p.BuildProvIndex()}); err == nil {
 		t.Fatal("partition wrote a version-6 snapshot")
 	}
 	// An index that fails Validate is refused at write time.
 	badIdx := &ProvIndex{pairV: []int32{1}, pairU: []int32{0}, off: []int64{0, 1}, acts: []int32{0}, creds: []float64{-1}}
-	if err := e.WriteSnapshotProv(&bytes.Buffer{}, lin, nil, nil, badIdx); err == nil {
+	if err := e.WriteSnapshot(&bytes.Buffer{}, SnapshotParts{Lineage: lin, Prov: badIdx}); err == nil {
 		t.Fatal("invalid index written without error")
 	}
 }

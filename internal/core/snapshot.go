@@ -306,12 +306,6 @@ func (sw *snapWriter) footer() {
 	}
 }
 
-// WriteSnapshot serializes the engine and its lineage in the binary
-// snapshot format, with no seed prefix. See WriteSnapshotPrefix.
-func (e *Engine) WriteSnapshot(w io.Writer, lin Lineage) error {
-	return e.WriteSnapshotPrefix(w, lin, nil)
-}
-
 // checkSnapshotArgs enforces the shared writer preconditions. The engine
 // must not have committed seeds (a snapshot restores the raw per-action
 // credit structure, which Add destructively restricts to V-S; the prefix
@@ -401,112 +395,104 @@ func writeSeedPrefixSection(sw *snapWriter, prefix *SeedPrefix) {
 	}
 }
 
-// WriteSnapshotPrefix serializes the engine, its lineage, and an optional
-// computed seed prefix in the current (version 3) binary snapshot format.
-// The base section is written in its canonical mapped-addressable layout:
-// contiguous in-order blocks behind a per-action offset table, 16-byte
-// directory records and cells, everything 8-aligned — so the very bytes
-// this writer emits are what OpenSnapshotMapped later serves queries from
-// without parsing.
-func (e *Engine) WriteSnapshotPrefix(w io.Writer, lin Lineage, prefix *SeedPrefix) error {
-	return e.WriteSnapshotSketch(w, lin, prefix, nil)
+// RowRange is a half-open influencer-row range [Lo, Hi).
+type RowRange struct {
+	Lo, Hi int
 }
 
-// WriteSnapshotSketch serializes the engine, its lineage, an optional
-// seed prefix, and an optional RR sketch. With a non-empty sketch the
-// file is written as version 5 (version 3 plus the sketch section); with
-// sk nil (or empty) it is the byte-identical version-3 file
-// WriteSnapshotPrefix has always produced, so sketchless snapshots stay
-// readable by older binaries.
-func (e *Engine) WriteSnapshotSketch(w io.Writer, lin Lineage, prefix *SeedPrefix, sk *RRSketch) error {
-	return e.WriteSnapshotProv(w, lin, prefix, sk, nil)
+// SnapshotParts is everything a snapshot file carries besides the
+// engine's own credit structure: the lineage it was scanned from, an
+// optional computed seed prefix, RR sketch and provenance index, and — for
+// a version-4 partition slice — the influencer-row range the base section
+// holds. ReadSnapshot and OpenSnapshotMapped return exactly what
+// WriteSnapshot takes, so a read/write round trip reproduces the file.
+type SnapshotParts struct {
+	Lineage Lineage
+	Prefix  *SeedPrefix
+	// Sketch and Prov are full-model sections; a slice never carries them.
+	// An empty one counts as absent.
+	Sketch *RRSketch
+	Prov   *ProvIndex
+	// Slice, when set, restricts the base section to rows [Lo, Hi) and
+	// marks the file as a partition slice (version 4).
+	Slice *RowRange
 }
 
-// WriteSnapshotProv serializes the engine, its lineage, an optional seed
-// prefix, an optional RR sketch, and an optional provenance index. With
-// a non-empty index the file is written as version 6 (version 3 plus the
-// flags byte, the sketch section when one rides along, and the
-// provenance section); with prov nil (or empty) it is the byte-identical
-// version-3 or version-5 file WriteSnapshotSketch has always produced,
-// so provless snapshots stay readable by older binaries.
-func (e *Engine) WriteSnapshotProv(w io.Writer, lin Lineage, prefix *SeedPrefix, sk *RRSketch, prov *ProvIndex) error {
-	if e.partitioned {
+// WriteSnapshot serializes the engine and its parts in the binary
+// snapshot format, picking the version from the parts present: 4 for a
+// slice, 6 with a provenance index (the sketch riding along when set), 5
+// with only a sketch, 3 otherwise — so a file without a section is
+// byte-identical to what older binaries wrote. The base section is written
+// in its canonical mapped-addressable layout: contiguous in-order blocks
+// behind a per-action offset table, 16-byte directory records and cells,
+// everything 8-aligned — the very bytes OpenSnapshotMapped later serves
+// queries from without parsing. A full engine may write any slice range;
+// a partition engine writes only a slice of its own range.
+func (e *Engine) WriteSnapshot(w io.Writer, p SnapshotParts) error {
+	version := uint32(snapshotVersion)
+	lo, hi := 0, e.numUsers
+	if p.Sketch != nil && len(p.Sketch.Sets) == 0 {
+		p.Sketch = nil
+	}
+	if p.Prov != nil && p.Prov.Pairs() == 0 {
+		p.Prov = nil
+	}
+	switch {
+	case p.Slice != nil:
+		lo, hi = p.Slice.Lo, p.Slice.Hi
+		if lo < 0 || lo > hi || hi > e.numUsers {
+			return fmt.Errorf("core: slice rows [%d,%d) outside the universe [0,%d)", lo, hi, e.numUsers)
+		}
+		if e.partitioned && (lo != e.partLo || hi != e.partHi) {
+			return fmt.Errorf("core: partition engine holds rows [%d,%d), cannot write slice [%d,%d)", e.partLo, e.partHi, lo, hi)
+		}
+		if p.Sketch != nil || p.Prov != nil {
+			return errors.New("core: a snapshot slice carries no RR sketch or provenance index")
+		}
+		version = snapshotVersionSlice
+	case e.partitioned:
 		// A partition's base holds only its own rows; writing it under the
 		// full-model version would produce a file every reader trusts as
 		// the complete credit structure.
-		return fmt.Errorf("core: cannot write a partition engine (rows [%d,%d)) as a full snapshot; use WriteSnapshotSlice", e.partLo, e.partHi)
+		return fmt.Errorf("core: cannot write a partition engine (rows [%d,%d)) as a full snapshot; write it as a slice", e.partLo, e.partHi)
 	}
-	version := uint32(snapshotVersion)
-	if sk != nil && len(sk.Sets) > 0 {
-		if err := sk.Validate(e.numUsers); err != nil {
+	if p.Sketch != nil {
+		if err := p.Sketch.Validate(e.numUsers); err != nil {
 			return err
 		}
 		version = snapshotVersionSketch
-	} else {
-		sk = nil
 	}
-	if prov != nil && prov.Pairs() > 0 {
-		if err := prov.Validate(e.numUsers, e.NumActions()); err != nil {
+	if p.Prov != nil {
+		if err := p.Prov.Validate(e.numUsers, e.NumActions()); err != nil {
 			return err
 		}
 		version = snapshotVersionProv
-	} else {
-		prov = nil
 	}
-	return e.writeSnapshotRows(w, lin, prefix, version, 0, e.numUsers, sk, prov)
-}
-
-// WriteSnapshotSlice serializes the engine's influencer rows in [lo, hi)
-// as a version-4 partition slice: the identical header (full lineage,
-// params, per-user action lists, seed prefix) plus the declared row
-// range, with the base section restricted to the range's rows in the same
-// canonical offset-addressed layout — so a slice mmaps exactly like a
-// full version-3 file. A contiguous set of slices covering [0, NumNodes())
-// reassembles the model with no row stored twice. A full engine may write
-// any valid range; a partition engine re-encodes only its own range, and
-// the encoding of a given engine remains unique (saving a loaded slice
-// reproduces the file byte for byte).
-func (e *Engine) WriteSnapshotSlice(w io.Writer, lin Lineage, prefix *SeedPrefix, lo, hi int) error {
-	if lo < 0 || lo > hi || hi > e.numUsers {
-		return fmt.Errorf("core: slice rows [%d,%d) outside the universe [0,%d)", lo, hi, e.numUsers)
-	}
-	if e.partitioned && (lo != e.partLo || hi != e.partHi) {
-		return fmt.Errorf("core: partition engine holds rows [%d,%d), cannot write slice [%d,%d)", e.partLo, e.partHi, lo, hi)
-	}
-	return e.writeSnapshotRows(w, lin, prefix, snapshotVersionSlice, lo, hi, nil, nil)
-}
-
-// writeSnapshotRows is the shared body of WriteSnapshotProv (version 3,
-// every row; version 5 when an RR sketch rides along; version 6 when a
-// provenance index does) and WriteSnapshotSlice (version 4, rows in
-// [lo, hi) plus the range record in the header).
-func (e *Engine) writeSnapshotRows(w io.Writer, lin Lineage, prefix *SeedPrefix, version uint32, lo, hi int, sk *RRSketch, prov *ProvIndex) error {
-	if err := e.checkSnapshotArgs(lin, prefix); err != nil {
+	if err := e.checkSnapshotArgs(p.Lineage, p.Prefix); err != nil {
 		return err
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	sw := &snapWriter{w: bw}
-	if err := writeSnapshotHeader(sw, e, lin, version); err != nil {
+	if err := writeSnapshotHeader(sw, e, p.Lineage, version); err != nil {
 		return err
 	}
-	writeSeedPrefixSection(sw, prefix)
-	if version == snapshotVersionSlice {
+	writeSeedPrefixSection(sw, p.Prefix)
+	switch version {
+	case snapshotVersionSlice:
 		sw.u32(uint32(lo))
 		sw.u32(uint32(hi))
-	}
-	if version == snapshotVersionSketch {
-		writeSketchSection(sw, sk)
-	}
-	if version == snapshotVersionProv {
+	case snapshotVersionSketch:
+		writeSketchSection(sw, p.Sketch)
+	case snapshotVersionProv:
 		flags := provFlagProv
-		if sk != nil {
+		if p.Sketch != nil {
 			flags |= provFlagSketch
 		}
 		sw.u8(flags)
-		if sk != nil {
-			writeSketchSection(sw, sk)
+		if p.Sketch != nil {
+			writeSketchSection(sw, p.Sketch)
 		}
-		writeProvSection(sw, prov)
+		writeProvSection(sw, p.Prov)
 	}
 
 	// Header CRC over everything written so far, then zero padding so the
@@ -583,7 +569,7 @@ func (e *Engine) writeSnapshotRows(w io.Writer, lin Lineage, prefix *SeedPrefix,
 // writeSnapshotV2 writes the legacy version-2 format (packed 12-byte
 // cells, prefix after the shards, no header CRC or base section). It is
 // never used in production — the compatibility tests need a source of
-// genuine old-format files now that WriteSnapshotPrefix emits version 3.
+// genuine old-format files now that WriteSnapshot emits version 3.
 func writeSnapshotV2(w io.Writer, e *Engine, lin Lineage, prefix *SeedPrefix) error {
 	if err := e.checkSnapshotArgs(lin, prefix); err != nil {
 		return err
@@ -842,60 +828,39 @@ func parseSeedPrefix(sc *snapCursor, numUsers int) (*SeedPrefix, error) {
 	return p, sc.err
 }
 
-// ReadSnapshot parses a snapshot written by WriteSnapshot, discarding any
-// stored seed prefix. See ReadSnapshotPrefix.
-func ReadSnapshot(r io.Reader) (*Engine, Lineage, error) {
-	e, lin, _, err := ReadSnapshotPrefix(r)
-	return e, lin, err
-}
-
-// ReadSnapshotPrefix parses a snapshot written by WriteSnapshotPrefix,
-// discarding any stored RR sketch. See ReadSnapshotSketch.
-func ReadSnapshotPrefix(r io.Reader) (*Engine, Lineage, *SeedPrefix, error) {
-	e, lin, prefix, _, err := ReadSnapshotSketch(r)
-	return e, lin, prefix, err
-}
-
-// ReadSnapshotSketch parses a snapshot written by WriteSnapshotSketch,
-// discarding any stored provenance index. See ReadSnapshotProv.
-func ReadSnapshotSketch(r io.Reader) (*Engine, Lineage, *SeedPrefix, *RRSketch, error) {
-	e, lin, prefix, sketch, _, err := ReadSnapshotProv(r)
-	return e, lin, prefix, sketch, err
-}
-
-// ReadSnapshotProv parses a snapshot written by WriteSnapshotProv and
-// rebuilds the engine heap-resident: the column mirror of every shard and
-// the Au normalizers are reconstructed deterministically from the stored
-// rows. Any supported version (1 through 6) is accepted. The returned
-// engine is frozen (every shard shared) with the full scanned range as its
-// base, has no committed seeds, and is bit-for-bit equivalent to the saved
-// engine; the returned prefix is the stored seed prefix, or nil when the
-// file carries none (always for version-1 files), the returned sketch
-// is the stored RR sketch, or nil for files not carrying one, and the
-// returned prov is the stored provenance index, or nil for every version
-// below 6. Corrupt or truncated input — bad magic, impossible counts,
-// unordered keys, a CRC mismatch, trailing garbage, a malformed prefix,
-// sketch, or provenance section — is rejected with an error, never a
-// panic or an unbounded allocation. For serving straight off the file
-// without this parse, see OpenSnapshotMapped.
-func ReadSnapshotProv(r io.Reader) (*Engine, Lineage, *SeedPrefix, *RRSketch, *ProvIndex, error) {
-	var lin Lineage
+// ReadSnapshot parses a snapshot written by WriteSnapshot and rebuilds
+// the engine heap-resident: the column mirror of every shard and the Au
+// normalizers are reconstructed deterministically from the stored rows.
+// Any supported version (1 through 6) is accepted. The returned engine is
+// frozen (every shard shared) with the full scanned range as its base, has
+// no committed seeds, and is bit-for-bit equivalent to the saved engine
+// (a partition engine over the declared rows for a version-4 slice). The
+// returned parts hold what the file stores besides the engine — its
+// lineage, and the seed prefix, RR sketch, provenance index, and slice
+// range it carries, each nil when absent — so writing the engine back
+// with them reproduces a version-3 to 6 file byte for byte. Corrupt or
+// truncated input — bad magic, impossible counts, unordered keys, a CRC
+// mismatch, trailing garbage, a malformed prefix, sketch, or provenance
+// section — is rejected with an error, never a panic or an unbounded
+// allocation. For serving straight off the file without this parse, see
+// OpenSnapshotMapped.
+func ReadSnapshot(r io.Reader) (*Engine, SnapshotParts, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, lin, nil, nil, nil, fmt.Errorf("core: snapshot: read: %w", err)
+		return nil, SnapshotParts{}, fmt.Errorf("core: snapshot: read: %w", err)
 	}
 	if len(data) < len(snapshotMagic)+4+4 {
-		return nil, lin, nil, nil, nil, errors.New("core: snapshot: truncated input: shorter than the fixed header")
+		return nil, SnapshotParts{}, errors.New("core: snapshot: truncated input: shorter than the fixed header")
 	}
 	if !IsSnapshotHeader(data) {
-		return nil, lin, nil, nil, nil, errors.New("core: snapshot: bad magic (not a snapshot file)")
+		return nil, SnapshotParts{}, errors.New("core: snapshot: bad magic (not a snapshot file)")
 	}
 	// Integrity first: the CRC footer covers the whole payload, so every
 	// later structural check runs on bytes known to be exactly what the
 	// writer produced (or the file is rejected here, wholesale).
 	payload, footer := data[:len(data)-4], data[len(data)-4:]
 	if got, want := binary.LittleEndian.Uint32(footer), crc32.ChecksumIEEE(payload); got != want {
-		return nil, lin, nil, nil, nil, fmt.Errorf("core: snapshot: checksum mismatch (file %08x, computed %08x): corrupt or truncated input", got, want)
+		return nil, SnapshotParts{}, fmt.Errorf("core: snapshot: checksum mismatch (file %08x, computed %08x): corrupt or truncated input", got, want)
 	}
 
 	version := binary.LittleEndian.Uint32(data[len(snapshotMagic):])
@@ -903,25 +868,24 @@ func ReadSnapshotProv(r io.Reader) (*Engine, Lineage, *SeedPrefix, *RRSketch, *P
 	case snapshotVersion, snapshotVersionSlice, snapshotVersionSketch, snapshotVersionProv:
 		return parseSnapshotV3(data, false)
 	case snapshotVersionNoBase, snapshotVersionNoPrefix:
-		e, l, p, err := readLegacySnapshot(payload, version)
-		return e, l, p, nil, nil, err
+		return readLegacySnapshot(payload, version)
 	default:
-		return nil, lin, nil, nil, nil, fmt.Errorf("core: snapshot: unsupported version %d (supported: 1 through %d)", version, snapshotVersionProv)
+		return nil, SnapshotParts{}, fmt.Errorf("core: snapshot: unsupported version %d (supported: 1 through %d)", version, snapshotVersionProv)
 	}
 }
 
 // readLegacySnapshot parses the version-1/2 payload (footer already
 // verified and stripped): shards as packed 12-byte cells, then — for
 // version 2 — the seed-prefix section.
-func readLegacySnapshot(payload []byte, version uint32) (*Engine, Lineage, *SeedPrefix, error) {
+func readLegacySnapshot(payload []byte, version uint32) (*Engine, SnapshotParts, error) {
 	sc := &snapCursor{b: payload, off: len(snapshotMagic) + 4}
 	lin, lambda, credit, err := parseSnapshotHeader(sc)
 	if err != nil {
-		return nil, lin, nil, err
+		return nil, SnapshotParts{}, err
 	}
 	e := newSnapshotEngine(lin, lambda, credit)
 	if err := parseUsers(sc, lin, e); err != nil {
-		return nil, lin, nil, err
+		return nil, SnapshotParts{}, err
 	}
 
 	// Scratch for the column-mirror rebuild, reused across shards: per-user
@@ -1016,22 +980,21 @@ func readLegacySnapshot(payload []byte, version uint32) (*Engine, Lineage, *Seed
 		e.uc = append(e.uc, ua)
 	}
 	if sc.err != nil {
-		return nil, lin, nil, sc.err
+		return nil, SnapshotParts{}, sc.err
 	}
 
 	// Seed-prefix section (version >= 2 only); version-1 files end at the
 	// shards.
-	var prefix *SeedPrefix
+	parts := SnapshotParts{Lineage: lin}
 	if version >= snapshotVersionNoBase {
-		prefix, err = parseSeedPrefix(sc, lin.NumUsers)
-		if err != nil {
-			return nil, lin, nil, err
+		if parts.Prefix, err = parseSeedPrefix(sc, lin.NumUsers); err != nil {
+			return nil, SnapshotParts{}, err
 		}
 	}
 	if sc.remaining() != 0 {
-		return nil, lin, nil, errors.New("core: snapshot: trailing data after payload")
+		return nil, SnapshotParts{}, errors.New("core: snapshot: trailing data after payload")
 	}
-	return e, lin, prefix, nil
+	return e, parts, nil
 }
 
 // fillColumns rebuilds ua's column mirror from its finished rows using the

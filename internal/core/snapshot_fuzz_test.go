@@ -7,7 +7,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"credist/internal/seedsel"
+	"credist/internal/celf"
 )
 
 // FuzzReadSnapshot drives the binary-snapshot reader with arbitrary
@@ -30,16 +30,16 @@ func FuzzReadSnapshot(f *testing.F) {
 
 	// Seed 1: plain snapshot, no prefix.
 	var plain bytes.Buffer
-	if err := e.WriteSnapshot(&plain, lin); err != nil {
+	if err := e.WriteSnapshot(&plain, SnapshotParts{Lineage: lin}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(plain.Bytes())
 
 	// Seed 2: snapshot carrying a computed seed prefix.
-	sel := seedsel.CELF(e.Clone(), 5)
+	sel := celf.Run(e.Clone(), 5, celf.Options{})
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	var prefixed bytes.Buffer
-	if err := e.WriteSnapshotPrefix(&prefixed, lin, prefix); err != nil {
+	if err := e.WriteSnapshot(&prefixed, SnapshotParts{Lineage: lin, Prefix: prefix}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(prefixed.Bytes())
@@ -47,7 +47,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	// Seed 3: simple-credit variant (exercises the other credit tag).
 	se := NewEngine(g, log, Options{Lambda: 0.001})
 	var simple bytes.Buffer
-	if err := se.WriteSnapshot(&simple, lin); err != nil {
+	if err := se.WriteSnapshot(&simple, SnapshotParts{Lineage: lin}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(simple.Bytes())
@@ -93,7 +93,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	var slice bytes.Buffer
-	if err := part.WriteSnapshotSlice(&slice, lin, nil, 8, 17); err != nil {
+	if err := part.WriteSnapshot(&slice, SnapshotParts{Lineage: lin, Slice: &RowRange{Lo: 8, Hi: 17}}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(slice.Bytes())
@@ -102,7 +102,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	var tailSlice bytes.Buffer
-	if err := tailPart.WriteSnapshotSlice(&tailSlice, lin, prefix, 17, e.NumNodes()); err != nil {
+	if err := tailPart.WriteSnapshot(&tailSlice, SnapshotParts{Lineage: lin, Prefix: prefix, Slice: &RowRange{Lo: 17, Hi: e.NumNodes()}}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(tailSlice.Bytes())
@@ -141,7 +141,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		sketch.Sets = append(sketch.Sets, walker(skRng))
 	}
 	var sketched bytes.Buffer
-	if err := e.WriteSnapshotSketch(&sketched, lin, prefix, sketch); err != nil {
+	if err := e.WriteSnapshot(&sketched, SnapshotParts{Lineage: lin, Prefix: prefix, Sketch: sketch}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(sketched.Bytes())
@@ -185,12 +185,12 @@ func FuzzReadSnapshot(f *testing.F) {
 	// rejecting rather than the checksum.
 	prov := e.BuildProvIndex()
 	var proved bytes.Buffer
-	if err := e.WriteSnapshotProv(&proved, lin, prefix, nil, prov); err != nil {
+	if err := e.WriteSnapshot(&proved, SnapshotParts{Lineage: lin, Prefix: prefix, Prov: prov}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(proved.Bytes())
 	var provSketched bytes.Buffer
-	if err := e.WriteSnapshotProv(&provSketched, lin, prefix, sketch, prov); err != nil {
+	if err := e.WriteSnapshot(&provSketched, SnapshotParts{Lineage: lin, Prefix: prefix, Sketch: sketch, Prov: prov}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(provSketched.Bytes())
@@ -264,10 +264,11 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		eng, lin, pfx, sketch, prov, err := ReadSnapshotProv(bytes.NewReader(data))
+		eng, sp, err := ReadSnapshot(bytes.NewReader(data))
 		if err != nil {
 			return // rejected input is the expected outcome; no panic happened
 		}
+		lin, pfx := sp.Lineage, sp.Prefix
 		if eng.NumNodes() != lin.NumUsers || eng.NumActions() != lin.NumActions {
 			t.Fatalf("accepted engine shape %d users/%d actions contradicts lineage %d/%d",
 				eng.NumNodes(), eng.NumActions(), lin.NumUsers, lin.NumActions)
@@ -279,47 +280,22 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 		}
 		version := binary.LittleEndian.Uint32(data[len(snapshotMagic):])
-		if version == snapshotVersionSlice {
-			// An accepted slice re-encodes through the slice writer at its
-			// own row range; canonical-form uniqueness holds per version.
-			lo, hi := eng.PartitionRange()
-			var out bytes.Buffer
-			if err := eng.WriteSnapshotSlice(&out, lin, pfx, lo, hi); err != nil {
-				t.Fatalf("accepted slice fails to re-serialize: %v", err)
-			}
-			if !bytes.Equal(out.Bytes(), data) {
-				t.Fatalf("accepted slice is not canonical: re-encode differs (%d vs %d bytes)",
-					out.Len(), len(data))
-			}
-			return
+		if version == snapshotVersionProv && sp.Prov == nil {
+			t.Fatal("accepted version-6 snapshot without a provenance index")
 		}
-		if version == snapshotVersionSketch || version == snapshotVersionProv {
-			// An accepted sketch or provenance snapshot re-encodes through
-			// the section-aware writer; section encoding is unique, so bytes
-			// must round-trip. A version-6 file must actually carry an index.
-			if version == snapshotVersionProv && prov == nil {
-				t.Fatal("accepted version-6 snapshot without a provenance index")
-			}
-			var out bytes.Buffer
-			if err := eng.WriteSnapshotProv(&out, lin, pfx, sketch, prov); err != nil {
-				t.Fatalf("accepted sectioned snapshot fails to re-serialize: %v", err)
-			}
-			if !bytes.Equal(out.Bytes(), data) {
-				t.Fatalf("accepted sectioned snapshot is not canonical: re-encode differs (%d vs %d bytes)",
-					out.Len(), len(data))
-			}
-			return
-		}
-		if version != snapshotVersion {
+		if version == snapshotVersionNoBase || version == snapshotVersionNoPrefix {
 			return // v1/v2 input re-encodes as v3; bytes legitimately differ
 		}
+		// The reader hands back exactly what the writer takes, and the
+		// encoding of a given engine and parts is unique, so anything
+		// accepted must re-encode to the input byte for byte.
 		var out bytes.Buffer
-		if err := eng.WriteSnapshotPrefix(&out, lin, pfx); err != nil {
-			t.Fatalf("accepted input fails to re-serialize: %v", err)
+		if err := eng.WriteSnapshot(&out, sp); err != nil {
+			t.Fatalf("accepted version-%d input fails to re-serialize: %v", version, err)
 		}
 		if !bytes.Equal(out.Bytes(), data) {
-			t.Fatalf("accepted input is not canonical: re-encode differs (%d vs %d bytes)",
-				out.Len(), len(data))
+			t.Fatalf("accepted version-%d input is not canonical: re-encode differs (%d vs %d bytes)",
+				version, out.Len(), len(data))
 		}
 	})
 }

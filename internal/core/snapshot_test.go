@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand/v2"
@@ -12,8 +14,8 @@ import (
 	"testing"
 
 	"credist/internal/actionlog"
+	"credist/internal/celf"
 	"credist/internal/graph"
-	"credist/internal/seedsel"
 )
 
 // snapshotInstance builds a learned, scanned engine plus its lineage for
@@ -30,7 +32,7 @@ func snapshotInstance(t *testing.T, seed uint64, users, actions int) (*graph.Gra
 func writeSnapshot(t *testing.T, e *Engine, lin Lineage) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf, lin); err != nil {
+	if err := e.WriteSnapshot(&buf, SnapshotParts{Lineage: lin}); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	return buf.Bytes()
@@ -57,8 +59,8 @@ func requireEnginesBitIdentical(t *testing.T, want, got *Engine, k int) {
 			t.Fatalf("Gain(%d) not bit-identical: %b vs %b", u, gg, gw)
 		}
 	}
-	rw := seedsel.CELF(want.Clone(), k)
-	rg := seedsel.CELF(got.Clone(), k)
+	rw := celf.Run(want.Clone(), k, celf.Options{})
+	rg := celf.Run(got.Clone(), k, celf.Options{})
 	if len(rw.Seeds) != len(rg.Seeds) {
 		t.Fatalf("CELF lengths %d vs %d", len(rg.Seeds), len(rw.Seeds))
 	}
@@ -78,10 +80,11 @@ func TestSnapshotRoundTripBitExact(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 31, 60, 40)
 	data := writeSnapshot(t, e, lin)
 
-	back, backLin, err := ReadSnapshot(bytes.NewReader(data))
+	back, sp, err := ReadSnapshot(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
+	backLin := sp.Lineage
 	if backLin != lin {
 		t.Fatalf("lineage round trip: %+v != %+v", backLin, lin)
 	}
@@ -145,10 +148,11 @@ func TestSnapshotLoadThenAppendBitIdenticalToRescan(t *testing.T) {
 
 	saved := NewEngine(g, head, opts)
 	data := writeSnapshot(t, saved, DatasetLineage("head", g, head))
-	back, lin, err := ReadSnapshot(bytes.NewReader(data))
+	back, sp, err := ReadSnapshot(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
+	lin := sp.Lineage
 	if err := lin.Check(g, log); err != nil {
 		t.Fatalf("lineage check against the combined log: %v", err)
 	}
@@ -198,7 +202,7 @@ func TestSnapshotRefusesCommittedSeeds(t *testing.T) {
 	g, _, e, lin := snapshotInstance(t, 47, 30, 16)
 	_ = g
 	e.Add(0)
-	if err := e.WriteSnapshot(&bytes.Buffer{}, lin); err == nil {
+	if err := e.WriteSnapshot(&bytes.Buffer{}, SnapshotParts{Lineage: lin}); err == nil {
 		t.Fatal("snapshot of an engine with committed seeds accepted")
 	}
 }
@@ -207,19 +211,19 @@ func TestSnapshotRefusesMismatchedLineage(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 53, 30, 16)
 	bad := lin
 	bad.NumActions--
-	if err := e.WriteSnapshot(&bytes.Buffer{}, bad); err == nil {
+	if err := e.WriteSnapshot(&bytes.Buffer{}, SnapshotParts{Lineage: bad}); err == nil {
 		t.Fatal("lineage with wrong action count accepted")
 	}
 	bad = lin
 	bad.NumUsers++
-	if err := e.WriteSnapshot(&bytes.Buffer{}, bad); err == nil {
+	if err := e.WriteSnapshot(&bytes.Buffer{}, SnapshotParts{Lineage: bad}); err == nil {
 		t.Fatal("lineage with wrong user count accepted")
 	}
 	// The writer enforces the reader's name bound, so it can never produce
 	// a CRC-valid file that no load will accept.
 	bad = lin
 	bad.Dataset = strings.Repeat("x", 1<<16+1)
-	if err := e.WriteSnapshot(&bytes.Buffer{}, bad); err == nil {
+	if err := e.WriteSnapshot(&bytes.Buffer{}, SnapshotParts{Lineage: bad}); err == nil {
 		t.Fatal("oversized dataset name accepted")
 	}
 }
@@ -315,19 +319,20 @@ func TestSnapshotRejectsShortInflTable(t *testing.T) {
 // alike.
 func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 83, 50, 30)
-	sel := seedsel.CELF(e.Clone(), 6)
+	sel := celf.Run(e.Clone(), 6, celf.Options{})
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 
 	var buf bytes.Buffer
-	if err := e.WriteSnapshotPrefix(&buf, lin, prefix); err != nil {
-		t.Fatalf("WriteSnapshotPrefix: %v", err)
+	if err := e.WriteSnapshot(&buf, SnapshotParts{Lineage: lin, Prefix: prefix}); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	data := buf.Bytes()
 
-	back, backLin, backPrefix, err := ReadSnapshotPrefix(bytes.NewReader(data))
+	back, sp, err := ReadSnapshot(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("ReadSnapshotPrefix: %v", err)
+		t.Fatalf("ReadSnapshot: %v", err)
 	}
+	backLin, backPrefix := sp.Lineage, sp.Prefix
 	if backPrefix == nil {
 		t.Fatal("prefix did not survive the round trip")
 	}
@@ -345,7 +350,7 @@ func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 	requireEnginesBitIdentical(t, e, back, 6)
 
 	var again bytes.Buffer
-	if err := back.WriteSnapshotPrefix(&again, backLin, backPrefix); err != nil {
+	if err := back.WriteSnapshot(&again, SnapshotParts{Lineage: backLin, Prefix: backPrefix}); err != nil {
 		t.Fatalf("re-serialize: %v", err)
 	}
 	if !bytes.Equal(again.Bytes(), data) {
@@ -357,7 +362,7 @@ func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 		if i < 0 {
 			continue
 		}
-		if _, _, _, err := ReadSnapshotPrefix(bytes.NewReader(data[:i])); err == nil {
+		if _, _, err := ReadSnapshot(bytes.NewReader(data[:i])); err == nil {
 			t.Fatalf("truncation at byte %d/%d accepted", i, len(data))
 		}
 	}
@@ -367,7 +372,7 @@ func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 		}
 		corrupt := append([]byte(nil), data...)
 		corrupt[i] ^= 0x20
-		if _, _, _, err := ReadSnapshotPrefix(bytes.NewReader(corrupt)); err == nil {
+		if _, _, err := ReadSnapshot(bytes.NewReader(corrupt)); err == nil {
 			t.Fatalf("bit flip at byte %d/%d accepted", i, len(data))
 		}
 	}
@@ -382,7 +387,7 @@ func TestSnapshotSeedPrefixRoundTrip(t *testing.T) {
 			LookupsAt: []int64{5, 4}},
 	}
 	for name, bad := range badPrefixes {
-		if err := e.WriteSnapshotPrefix(&bytes.Buffer{}, lin, bad); err == nil {
+		if err := e.WriteSnapshot(&bytes.Buffer{}, SnapshotParts{Lineage: lin, Prefix: bad}); err == nil {
 			t.Errorf("writer accepted prefix with %s", name)
 		}
 	}
@@ -408,10 +413,11 @@ func TestSnapshotVersion1StillReads(t *testing.T) {
 	if err := writeSnapshotV2(&buf, e, lin, nil); err != nil {
 		t.Fatalf("writeSnapshotV2: %v", err)
 	}
-	back, backLin, prefix, err := ReadSnapshotPrefix(bytes.NewReader(craftVersion1(buf.Bytes())))
+	back, sp, err := ReadSnapshot(bytes.NewReader(craftVersion1(buf.Bytes())))
 	if err != nil {
 		t.Fatalf("version-1 read: %v", err)
 	}
+	backLin, prefix := sp.Lineage, sp.Prefix
 	if prefix != nil {
 		t.Fatal("version-1 file produced a seed prefix")
 	}
@@ -428,7 +434,7 @@ func TestSnapshotVersion1StillReads(t *testing.T) {
 // file the same engine would write directly.
 func TestSnapshotVersion2StillReads(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 89, 30, 16)
-	sel := seedsel.CELF(e.Clone(), 4)
+	sel := celf.Run(e.Clone(), 4, celf.Options{})
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	var buf bytes.Buffer
 	if err := writeSnapshotV2(&buf, e, lin, prefix); err != nil {
@@ -439,10 +445,11 @@ func TestSnapshotVersion2StillReads(t *testing.T) {
 		t.Fatalf("legacy writer stamped version %d, want %d", v, snapshotVersionNoBase)
 	}
 
-	back, backLin, backPrefix, err := ReadSnapshotPrefix(bytes.NewReader(v2))
+	back, sp, err := ReadSnapshot(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatalf("version-2 read: %v", err)
 	}
+	backLin, backPrefix := sp.Lineage, sp.Prefix
 	if backLin != lin {
 		t.Fatalf("lineage %+v, want %+v", backLin, lin)
 	}
@@ -460,10 +467,10 @@ func TestSnapshotVersion2StillReads(t *testing.T) {
 	// Re-saving the loaded engine upgrades to version 3, byte-identical to
 	// what the original engine writes directly.
 	var resaved, direct bytes.Buffer
-	if err := back.WriteSnapshotPrefix(&resaved, backLin, backPrefix); err != nil {
+	if err := back.WriteSnapshot(&resaved, SnapshotParts{Lineage: backLin, Prefix: backPrefix}); err != nil {
 		t.Fatalf("re-save: %v", err)
 	}
-	if err := e.WriteSnapshotPrefix(&direct, lin, prefix); err != nil {
+	if err := e.WriteSnapshot(&direct, SnapshotParts{Lineage: lin, Prefix: prefix}); err != nil {
 		t.Fatalf("direct save: %v", err)
 	}
 	if v := binary.LittleEndian.Uint32(resaved.Bytes()[len(snapshotMagic):]); v != snapshotVersion {
@@ -475,26 +482,27 @@ func TestSnapshotVersion2StillReads(t *testing.T) {
 }
 
 // TestSnapshotVersion3StillReads pins backward compatibility with the
-// sketchless version-3 layout: WriteSnapshotPrefix still stamps version 3
-// (not 5) so pre-sketch readers keep working, and the sketch-aware reader
-// loads such files with the prefix intact and a nil sketch.
+// sketchless version-3 layout: WriteSnapshot without a section still
+// stamps version 3 (not 5) so pre-sketch readers keep working, and the
+// reader loads such files with the prefix intact and a nil sketch.
 func TestSnapshotVersion3StillReads(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 97, 30, 16)
-	sel := seedsel.CELF(e.Clone(), 4)
+	sel := celf.Run(e.Clone(), 4, celf.Options{})
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	var buf bytes.Buffer
-	if err := e.WriteSnapshotPrefix(&buf, lin, prefix); err != nil {
-		t.Fatalf("WriteSnapshotPrefix: %v", err)
+	if err := e.WriteSnapshot(&buf, SnapshotParts{Lineage: lin, Prefix: prefix}); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	v3 := buf.Bytes()
 	if v := binary.LittleEndian.Uint32(v3[len(snapshotMagic):]); v != snapshotVersion {
 		t.Fatalf("sketchless writer stamped version %d, want %d", v, snapshotVersion)
 	}
 
-	back, backLin, backPrefix, sketch, err := ReadSnapshotSketch(bytes.NewReader(v3))
+	back, sp, err := ReadSnapshot(bytes.NewReader(v3))
 	if err != nil {
 		t.Fatalf("version-3 read: %v", err)
 	}
+	backLin, backPrefix, sketch := sp.Lineage, sp.Prefix, sp.Sketch
 	if sketch != nil {
 		t.Fatal("version-3 file produced an RR sketch")
 	}
@@ -519,21 +527,22 @@ func TestSnapshotVersion3StillReads(t *testing.T) {
 // never carry one).
 func TestSnapshotVersion4StillReads(t *testing.T) {
 	_, _, e, lin := snapshotInstance(t, 101, 30, 16)
-	sel := seedsel.CELF(e.Clone(), 4)
+	sel := celf.Run(e.Clone(), 4, celf.Options{})
 	prefix := &SeedPrefix{Seeds: sel.Seeds, Gains: sel.Gains, LookupsAt: sel.LookupsAt}
 	var buf bytes.Buffer
-	if err := e.WriteSnapshotSlice(&buf, lin, prefix, 0, e.NumNodes()); err != nil {
-		t.Fatalf("WriteSnapshotSlice: %v", err)
+	if err := e.WriteSnapshot(&buf, SnapshotParts{Lineage: lin, Prefix: prefix, Slice: &RowRange{Lo: 0, Hi: e.NumNodes()}}); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	v4 := buf.Bytes()
 	if v := binary.LittleEndian.Uint32(v4[len(snapshotMagic):]); v != snapshotVersionSlice {
 		t.Fatalf("slice writer stamped version %d, want %d", v, snapshotVersionSlice)
 	}
 
-	back, backLin, backPrefix, sketch, err := ReadSnapshotSketch(bytes.NewReader(v4))
+	back, sp, err := ReadSnapshot(bytes.NewReader(v4))
 	if err != nil {
 		t.Fatalf("version-4 read: %v", err)
 	}
+	backLin, backPrefix, sketch := sp.Lineage, sp.Prefix, sp.Sketch
 	if sketch != nil {
 		t.Fatal("version-4 slice produced an RR sketch")
 	}
@@ -564,7 +573,7 @@ func TestSnapshotUnsupportedVersionError(t *testing.T) {
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(future))
 	future = append(future, crc[:]...)
 
-	_, _, _, _, err := ReadSnapshotSketch(bytes.NewReader(future))
+	_, _, err := ReadSnapshot(bytes.NewReader(future))
 	if err == nil {
 		t.Fatal("version-99 file accepted")
 	}
@@ -578,7 +587,7 @@ func TestSnapshotUnsupportedVersionError(t *testing.T) {
 	if err := os.WriteFile(path, future, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, _, err = OpenSnapshotMapped(path)
+	_, _, _, err = OpenSnapshotMapped(path)
 	if err == nil {
 		t.Fatal("mapped open accepted a version-99 file")
 	}
@@ -603,5 +612,68 @@ func TestHashStability(t *testing.T) {
 	// The prefix hash of a prefix-restricted log matches the full log's.
 	if HashLogPrefix(log.Prefix(10), 10) != HashLogPrefix(log, 10) {
 		t.Error("prefix hash differs between Prefix view and full log")
+	}
+}
+
+// TestSnapshotFormatPinned pins the on-disk encoding across commits: one
+// fixed engine is written as every version the writer emits, and each
+// file's SHA-256 must equal the constant recorded when the format was
+// last deliberately changed. The fuzz target's re-encode rule only
+// compares a build with itself; model and slice files, though, outlive the
+// binary that wrote them. A failure here means the bytes changed — bump
+// the version instead of editing a constant.
+func TestSnapshotFormatPinned(t *testing.T) {
+	rng := rand.New(rand.NewPCG(101, 7))
+	g, log := randomInstance(rng, 25, 14)
+	credit := LearnTimeAware(g, log)
+	e := NewEngine(g, log, Options{Lambda: 0.001, Credit: credit})
+	simple := NewEngine(g, log, Options{Lambda: 0.001})
+	lin := DatasetLineage("pin", g, log)
+	prefix := &SeedPrefix{Seeds: []graph.NodeID{3, 11, 0}, Gains: []float64{2.5, 1.25, 0.0625}, LookupsAt: []int64{25, 31, 40}}
+	src, err := NewEvaluator(g, log, credit).CreditWalks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	walker := src.NewWalker()
+	skRng := rand.New(rand.NewPCG(3, 0x415a))
+	sketch := &RRSketch{Seed: 3, Roots: src.Roots()}
+	for i := 0; i < 40; i++ {
+		sketch.Sets = append(sketch.Sets, walker(skRng))
+	}
+	prov := e.BuildProvIndex()
+	part, err := e.Slice(8, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := &RowRange{Lo: 8, Hi: 17}
+	cases := []struct {
+		name  string
+		eng   *Engine
+		parts SnapshotParts
+		want  string
+	}{
+		{"v3", e, SnapshotParts{Lineage: lin, Prefix: prefix},
+			"e46a31cc59adfe43a8b0309794b393400dee38d740a38550832c03b9f1eeb9a0"},
+		{"v3 simple credit, no prefix", simple, SnapshotParts{Lineage: lin},
+			"884e13923576213febf2fcb6a38309635763d9d87b214244cb27e4e4330369b7"},
+		{"v4 from the full engine", e, SnapshotParts{Lineage: lin, Prefix: prefix, Slice: rows},
+			"b1f4218e5499906c3e4c276d9b6e0d9fa2b0a986e6416516365bc68ecc6dd0c4"},
+		{"v4 from a slice", part, SnapshotParts{Lineage: lin, Prefix: prefix, Slice: rows},
+			"b1f4218e5499906c3e4c276d9b6e0d9fa2b0a986e6416516365bc68ecc6dd0c4"},
+		{"v5", e, SnapshotParts{Lineage: lin, Prefix: prefix, Sketch: sketch},
+			"f3b567ba6a5f6b5b73abf2ad9e36d32cb1c66bb9a83d0019566278cfb17e8f5d"},
+		{"v6", e, SnapshotParts{Lineage: lin, Prefix: prefix, Prov: prov},
+			"4467c59005538d6f01b26c6a3ca789db8b8fe3179159b269af6089ee8cac832b"},
+		{"v6 with sketch", e, SnapshotParts{Lineage: lin, Prefix: prefix, Sketch: sketch, Prov: prov},
+			"ef5cad461ff1fa4aac3ca4763cc18bbce33c15139c5609a72e60970baa1da1a7"},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := c.eng.WriteSnapshot(&buf, c.parts); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.want {
+			t.Errorf("%s: SHA-256 %s, pinned %s", c.name, got, c.want)
+		}
 	}
 }

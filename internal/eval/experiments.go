@@ -14,7 +14,6 @@ import (
 	"credist/internal/graph"
 	"credist/internal/heuristic"
 	"credist/internal/probs"
-	"credist/internal/seedsel"
 )
 
 // ExpOptions gathers the knobs shared by the experiment drivers. Zero
@@ -90,7 +89,7 @@ func Table2(w io.Writer, env *Env, opts ExpOptions) *SeedSets {
 	sets := &SeedSets{}
 	for _, name := range []string{"UN", "WC", "TV", "EM", "PT"} {
 		est := heuristic.NewPMIA(weights[name], opts.Theta)
-		res := seedsel.CELF(est, opts.K)
+		res := celf.Run(est, opts.K, celf.Options{})
 		sets.Add(name, res.Seeds)
 	}
 	fmt.Fprintf(w, "Seed set intersections (k=%d) on %s under IC:\n%s", opts.K, env.Name, sets.RenderMatrix())
@@ -151,11 +150,11 @@ func ModelSeedSets(env *Env, opts ExpOptions) *SeedSets {
 	sets := &SeedSets{}
 
 	icW := probs.LearnEMIC(env.Graph, env.Train, probs.EMOptions{})
-	icRes := seedsel.CELF(heuristic.NewPMIA(icW, opts.Theta), opts.K)
+	icRes := celf.Run(heuristic.NewPMIA(icW, opts.Theta), opts.K, celf.Options{})
 	sets.Add("IC", icRes.Seeds)
 
 	ltW := probs.LearnLTWeights(env.Graph, env.Train)
-	ltRes := seedsel.CELF(heuristic.NewLDAG(ltW, opts.Theta), opts.K)
+	ltRes := celf.Run(heuristic.NewLDAG(ltW, opts.Theta), opts.K, celf.Options{})
 	sets.Add("LT", ltRes.Seeds)
 
 	sets.Add("CD", SelectCD(env, opts).Seeds)
@@ -167,7 +166,7 @@ func ModelSeedSets(env *Env, opts ExpOptions) *SeedSets {
 // selection engine serve's /seeds uses — so Figure 5/6/7 seed sets match
 // a served snapshot of the same dataset bit for bit (pinned by the
 // serve-parity regression test).
-func SelectCD(env *Env, opts ExpOptions) seedsel.Result {
+func SelectCD(env *Env, opts ExpOptions) celf.Result {
 	opts = opts.withDefaults()
 	credit := core.LearnTimeAware(env.Graph, env.Train)
 	engine := core.NewEngine(env.Graph, env.Train, core.Options{Lambda: opts.Lambda, Credit: credit, Workers: opts.Workers})
@@ -205,8 +204,8 @@ type SpreadCurve struct {
 func Figure6(w io.Writer, env *Env, opts ExpOptions) []SpreadCurve {
 	opts = opts.withDefaults()
 	sets := ModelSeedSets(env, opts)
-	sets.Add("HighDeg", seedsel.HighDegree(env.Graph, opts.K))
-	sets.Add("PageRank", seedsel.PageRankSeeds(env.Graph, opts.K, graph.PageRankOptions{}))
+	sets.Add("HighDeg", graph.HighDegree(env.Graph, opts.K))
+	sets.Add("PageRank", graph.PageRankSeeds(env.Graph, opts.K, graph.PageRankOptions{}))
 
 	credit := core.LearnTimeAware(env.Graph, env.Train)
 	ev := core.NewEvaluator(env.Graph, env.Train, credit)
@@ -269,12 +268,12 @@ func Figure7(w io.Writer, env *Env, opts ExpOptions) []RuntimeSeries {
 
 	icW := probs.LearnEMIC(env.Graph, env.Train, probs.EMOptions{})
 	icMC := cascade.NewMCEstimator(icW, cascade.IC, cascade.MCOptions{Trials: opts.Trials, Seed: opts.Seed})
-	icRes := seedsel.CELF(cascade.NewGreedyEstimator(icMC), opts.K)
+	icRes := celf.Run(cascade.NewGreedyEstimator(icMC), opts.K, celf.Options{})
 	series = append(series, RuntimeSeries{Method: "IC", Elapsed: icRes.Elapsed})
 
 	ltW := probs.LearnLTWeights(env.Graph, env.Train)
 	ltMC := cascade.NewMCEstimator(ltW, cascade.LT, cascade.MCOptions{Trials: opts.Trials, Seed: opts.Seed})
-	ltRes := seedsel.CELF(cascade.NewGreedyEstimator(ltMC), opts.K)
+	ltRes := celf.Run(cascade.NewGreedyEstimator(ltMC), opts.K, celf.Options{})
 	series = append(series, RuntimeSeries{Method: "LT", Elapsed: ltRes.Elapsed})
 
 	start := time.Now()

@@ -5,11 +5,11 @@ import (
 	"io"
 	"math/rand/v2"
 
+	"credist/internal/celf"
 	"credist/internal/core"
 	"credist/internal/graph"
 	"credist/internal/heuristic"
 	"credist/internal/probs"
-	"credist/internal/seedsel"
 )
 
 // NoisePoint is one row of the noise-robustness sweep: how much the seed
@@ -33,7 +33,7 @@ func NoiseRobustness(w io.Writer, env *Env, noises []float64, opts ExpOptions) [
 		noises = []float64{0.05, 0.1, 0.2, 0.4, 0.8}
 	}
 	em := probs.LearnEMIC(env.Graph, env.Train, probs.EMOptions{})
-	base := seedsel.CELF(heuristic.NewPMIA(em, opts.Theta), opts.K)
+	base := celf.Run(heuristic.NewPMIA(em, opts.Theta), opts.K, celf.Options{})
 
 	// Score seed sets with the CD evaluator, the paper's best proxy for
 	// actual spread.
@@ -45,7 +45,7 @@ func NoiseRobustness(w io.Writer, env *Env, noises []float64, opts ExpOptions) [
 	var points []NoisePoint
 	for _, noise := range noises {
 		pt := probs.Perturb(em, noise, rng)
-		res := seedsel.CELF(heuristic.NewPMIA(pt, opts.Theta), opts.K)
+		res := celf.Run(heuristic.NewPMIA(pt, opts.Theta), opts.K, celf.Options{})
 		loss := 0.0
 		if baseSpread > 0 {
 			loss = 1 - scorer.Spread(res.Seeds)/baseSpread
@@ -85,19 +85,19 @@ func LearnerComparison(w io.Writer, env *Env, opts ExpOptions) []MethodSpreadPoi
 	weights := map[string]func() []graph.NodeID{
 		"EM": func() []graph.NodeID {
 			w := probs.LearnEMIC(env.Graph, env.Train, probs.EMOptions{})
-			return seedsel.CELF(heuristic.NewPMIA(w, opts.Theta), opts.K).Seeds
+			return celf.Run(heuristic.NewPMIA(w, opts.Theta), opts.K, celf.Options{}).Seeds
 		},
 		"Bernoulli": func() []graph.NodeID {
 			w := probs.LearnGoyal(env.Graph, env.Train, probs.Bernoulli)
-			return seedsel.CELF(heuristic.NewPMIA(w, opts.Theta), opts.K).Seeds
+			return celf.Run(heuristic.NewPMIA(w, opts.Theta), opts.K, celf.Options{}).Seeds
 		},
 		"Jaccard": func() []graph.NodeID {
 			w := probs.LearnGoyal(env.Graph, env.Train, probs.Jaccard)
-			return seedsel.CELF(heuristic.NewPMIA(w, opts.Theta), opts.K).Seeds
+			return celf.Run(heuristic.NewPMIA(w, opts.Theta), opts.K, celf.Options{}).Seeds
 		},
 		"PartialCredits": func() []graph.NodeID {
 			w := probs.LearnGoyal(env.Graph, env.Train, probs.PartialCredits)
-			return seedsel.CELF(heuristic.NewPMIA(w, opts.Theta), opts.K).Seeds
+			return celf.Run(heuristic.NewPMIA(w, opts.Theta), opts.K, celf.Options{}).Seeds
 		},
 		"CD": func() []graph.NodeID {
 			return SelectCD(env, opts).Seeds

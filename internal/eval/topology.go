@@ -7,7 +7,6 @@ import (
 	"credist/internal/core"
 	"credist/internal/datagen"
 	"credist/internal/graph"
-	"credist/internal/seedsel"
 )
 
 // TopologyPoint scores the CD model against the structural baselines on
@@ -40,8 +39,8 @@ func TopologyRobustness(w io.Writer, base datagen.Config, opts ExpOptions) []Top
 		scorer := core.NewEvaluator(env.Graph, env.Train, credit)
 
 		cd := SelectCD(env, opts)
-		hd := seedsel.HighDegree(env.Graph, opts.K)
-		pr := seedsel.PageRankSeeds(env.Graph, opts.K, graph.PageRankOptions{})
+		hd := graph.HighDegree(env.Graph, opts.K)
+		pr := graph.PageRankSeeds(env.Graph, opts.K, graph.PageRankOptions{})
 
 		pt := TopologyPoint{
 			Topology: topo,

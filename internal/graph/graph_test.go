@@ -334,3 +334,32 @@ func TestBFSBall(t *testing.T) {
 		t.Fatalf("limit 0 should return nil, got %v", got)
 	}
 }
+
+func TestHighDegree(t *testing.T) {
+	b := NewBuilder(5)
+	// Node 0 out-degree 3; node 1 out-degree 2.
+	_ = b.AddEdge(0, 1)
+	_ = b.AddEdge(0, 2)
+	_ = b.AddEdge(0, 3)
+	_ = b.AddEdge(1, 2)
+	_ = b.AddEdge(1, 3)
+	_ = b.AddEdge(2, 4)
+	g := b.Build()
+	top := HighDegree(g, 2)
+	if top[0] != 0 || top[1] != 1 {
+		t.Fatalf("HighDegree = %v, want [0 1]", top)
+	}
+}
+
+func TestPageRankSeedsPicksInfluencer(t *testing.T) {
+	// 0 influences everyone: reversed-graph PageRank should rank 0 first.
+	b := NewBuilder(6)
+	for i := int32(1); i < 6; i++ {
+		_ = b.AddEdge(0, i)
+	}
+	g := b.Build()
+	seeds := PageRankSeeds(g, 1, PageRankOptions{})
+	if seeds[0] != 0 {
+		t.Fatalf("PageRankSeeds = %v, want node 0 first", seeds)
+	}
+}

@@ -102,3 +102,20 @@ func TopKByScore(scores []float64, k int) []NodeID {
 	})
 	return ids[:k]
 }
+
+// HighDegree returns the k nodes of largest out-degree (ties by id), the
+// paper's "High Degree" seed-selection baseline.
+func HighDegree(g *Graph, k int) []NodeID {
+	scores := make([]float64, g.NumNodes())
+	for u := range scores {
+		scores[u] = float64(g.OutDegree(NodeID(u)))
+	}
+	return TopKByScore(scores, k)
+}
+
+// PageRankSeeds returns the k top nodes by PageRank over the reversed
+// graph, so that rank flows from the influenced toward influencers — the
+// paper's PageRank seed-selection baseline.
+func PageRankSeeds(g *Graph, k int, opts PageRankOptions) []NodeID {
+	return TopKByScore(PageRank(g.Transpose(), opts), k)
+}

@@ -7,7 +7,7 @@ import (
 
 // Estimator approximates expected spread through per-node local
 // arborescences, providing the marginal-gain interface the greedy/CELF
-// selectors consume (it satisfies seedsel.Estimator). With mode IC it is
+// selectors consume (it satisfies celf.Estimator). With mode IC it is
 // the (P)MIA heuristic; with mode LT it is the arborescence-shaped LDAG
 // heuristic.
 type Estimator struct {

@@ -7,8 +7,8 @@ import (
 	"testing/quick"
 
 	"credist/internal/cascade"
+	"credist/internal/celf"
 	"credist/internal/graph"
-	"credist/internal/seedsel"
 )
 
 func chainWeights(t *testing.T, n int, p float64) *cascade.Weights {
@@ -193,7 +193,7 @@ func TestPMIACloseToMonteCarlo(t *testing.T) {
 
 func TestCELFOverPMIASelectsChainHead(t *testing.T) {
 	w := chainWeights(t, 10, 0.9)
-	res := seedsel.CELF(NewPMIA(w, 0.001), 1)
+	res := celf.Run(NewPMIA(w, 0.001), 1, celf.Options{})
 	if res.Seeds[0] != 0 {
 		t.Fatalf("first seed = %d, want chain head 0", res.Seeds[0])
 	}

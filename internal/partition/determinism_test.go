@@ -19,7 +19,6 @@ import (
 	"credist/internal/celf"
 	"credist/internal/core"
 	"credist/internal/graph"
-	"credist/internal/seedsel"
 )
 
 // randomInstance mirrors the core test generator: a random social graph
@@ -76,13 +75,13 @@ func mmapPartitions(t *testing.T, full *core.Engine, lin core.Lineage, n int) []
 		if err != nil {
 			t.Fatalf("create %s: %v", path, err)
 		}
-		if err := full.WriteSnapshotSlice(f, lin, nil, r.Lo, r.Hi); err != nil {
-			t.Fatalf("WriteSnapshotSlice%v: %v", r, err)
+		if err := full.WriteSnapshot(f, core.SnapshotParts{Lineage: lin, Slice: &core.RowRange{Lo: r.Lo, Hi: r.Hi}}); err != nil {
+			t.Fatalf("WriteSnapshot%v: %v", r, err)
 		}
 		if err := f.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		eng, _, _, ms, err := core.OpenSnapshotMapped(path)
+		eng, _, ms, err := core.OpenSnapshotMapped(path)
 		if err != nil {
 			t.Fatalf("OpenSnapshotMapped(%s): %v", path, err)
 		}
@@ -109,7 +108,7 @@ func TestPartitionCountDeterminism(t *testing.T) {
 	full.Compact()
 
 	const k = 8
-	ref := seedsel.CELF(full.Clone(), k)
+	ref := celf.Run(full.Clone(), k, celf.Options{})
 	if len(ref.Seeds) != k {
 		t.Fatalf("reference selection found %d seeds, want %d", len(ref.Seeds), k)
 	}
@@ -264,7 +263,7 @@ func TestPartitionIngestParity(t *testing.T) {
 			}
 		}
 		res := grown.NewSelection(nil, celf.Options{}).Grow(5)
-		refRes := seedsel.CELF(fullRef.Clone(), 5)
+		refRes := celf.Run(fullRef.Clone(), 5, celf.Options{})
 		for i := range refRes.Seeds {
 			if res.Seeds[i] != refRes.Seeds[i] || res.Gains[i] != refRes.Gains[i] {
 				t.Fatalf("nparts=%d: post-ingest seed %d: (%d, %b) vs (%d, %b)",
@@ -287,7 +286,7 @@ func TestPartitionCheckpointRestartParity(t *testing.T) {
 	full.Compact()
 
 	const k1, k = 3, 7
-	ref := seedsel.CELF(full.Clone(), k)
+	ref := celf.Run(full.Clone(), k, celf.Options{})
 
 	first, err := New(slicePartitions(t, full, 4), 0)
 	if err != nil {

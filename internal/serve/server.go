@@ -2,13 +2,14 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"net/http"
 	"net/url"
 	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strconv"
@@ -1162,17 +1163,20 @@ type SnapshotResponse struct {
 	WriteMillis float64 `json:"write_ms"`
 }
 
-// handleSnapshot serializes the current snapshot's model — learned
-// parameters, scanned UC structure, dataset lineage — to a server-side
-// file, so an operator can checkpoint a long-running ingesting server and
-// later restart it from the file (serve -model) in milliseconds instead
-// of a full relearn+rescan. The write goes to a uniquely named temp file
-// in the target directory and is renamed into place, so a crash mid-write
-// never leaves a truncated snapshot at the requested path, and two
-// concurrent checkpoints to the same path cannot interleave into one file
-// (the later rename wins with a complete snapshot). Queries are never
-// blocked: the written engine is the immutable one the snapshot already
-// serves from.
+// handleSnapshot checkpoints the current snapshot's live state — learned
+// parameters, scanned UC structure, dataset lineage, and the published
+// seed prefix — to server-side files, so an operator can checkpoint a
+// long-running ingesting server and later restart it from them (serve
+// -model, with the same -partitions) in milliseconds instead of a full
+// relearn+rescan. An unpartitioned snapshot writes one model file at the
+// path; a partitioned one writes one slice per partition at the canonical
+// "<path>.slice-<i>-of-<n>" names, so a restart finds them without
+// re-splitting. Each file goes to a uniquely named temp file in the
+// target directory and is renamed into place, so a crash mid-write never
+// leaves a truncated file at a target, and two concurrent checkpoints to
+// the same path cannot interleave into one file (the later rename wins
+// with a complete file). Queries are never blocked: the written engines
+// are the immutable ones the snapshot already serves from.
 func (s *Server) handleSnapshot(sn *Snapshot, r *http.Request) (any, error) {
 	var req snapshotRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -1181,88 +1185,18 @@ func (s *Server) handleSnapshot(sn *Snapshot, r *http.Request) (any, error) {
 	if req.Path == "" {
 		return nil, badRequest("snapshot: missing \"path\"")
 	}
-	if sn.Partitioned() {
-		return s.snapshotPartitioned(sn, req.Path)
+	if err := sn.partitionGate(); err != nil {
+		return nil, err
 	}
-	// The rename below replaces whatever sits at the path. Like /ingest's
+	paths := []string{req.Path}
+	if sn.Partitioned() {
+		paths = credist.SlicePaths(req.Path, sn.NumPartitions())
+	}
+	// The renames replace whatever sits at the targets. Like /ingest's
 	// server-side log option, the path itself is trusted to the operator's
 	// network boundary — but an existing file is only replaced if it
 	// already is a snapshot, so a checkpoint can never clobber a graph,
 	// log, or unrelated file through this endpoint.
-	if prev, err := os.Open(req.Path); err == nil {
-		header := make([]byte, 8)
-		n, _ := io.ReadFull(prev, header)
-		prev.Close()
-		if !credist.IsModelSnapshot(header[:n]) {
-			return nil, badRequest("snapshot: %q exists and is not a model snapshot; refusing to replace it", req.Path)
-		}
-	}
-	start := time.Now()
-	dir, base := filepath.Split(req.Path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return nil, badRequest("snapshot: %v", err)
-	}
-	tmp := f.Name()
-	// The computed seed prefix rides along: it was selected against
-	// exactly the engine being written, so a restart from this file
-	// serves /seeds up to the same k without running CELF at all.
-	if err := sn.model.WriteSnapshot(f, sn.parts, sn.checkpointPrefix()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, fmt.Errorf("snapshot: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return nil, fmt.Errorf("snapshot: %v", err)
-	}
-	if err := os.Rename(tmp, req.Path); err != nil {
-		os.Remove(tmp)
-		return nil, fmt.Errorf("snapshot: %v", err)
-	}
-	var bytes int64
-	if fi, err := os.Stat(req.Path); err == nil {
-		bytes = fi.Size()
-	}
-	elapsed := time.Since(start)
-	actions := sn.Dataset().Log.NumActions()
-	s.checkpointMu.Lock()
-	s.lastCheckpoint = &CheckpointInfo{
-		Path:      req.Path,
-		Snapshot:  sn.ID,
-		Actions:   actions,
-		Bytes:     bytes,
-		WrittenAt: time.Now(),
-	}
-	s.checkpointMu.Unlock()
-	s.logf("serve: wrote snapshot %d to %s (%d actions, %d bytes), %.0f ms",
-		sn.ID, req.Path, actions, bytes, float64(elapsed.Milliseconds()))
-	return SnapshotResponse{
-		Snapshot:    sn.ID,
-		Dataset:     sn.Dataset().Name,
-		Path:        req.Path,
-		Actions:     actions,
-		Users:       sn.NumUsers(),
-		Entries:     sn.Entries(),
-		Bytes:       bytes,
-		WriteMillis: float64(elapsed.Nanoseconds()) / 1e6,
-	}, nil
-}
-
-// snapshotPartitioned checkpoints a partitioned snapshot as one slice file
-// per partition at the canonical "<path>.slice-<i>-of-<n>" names, so a
-// restart with `serve -model <path> -partitions <n>` finds them without
-// re-splitting. Each slice goes through the same temp-and-rename dance as
-// the single-file path, and the same clobber guard applies per slice.
-func (s *Server) snapshotPartitioned(sn *Snapshot, path string) (any, error) {
-	if err := sn.PartitionErr(); err != nil {
-		return nil, &apiError{code: http.StatusBadGateway,
-			msg: fmt.Sprintf("snapshot: partitioned model unavailable: %v", err)}
-	}
-	paths := credist.SlicePaths(path, sn.NumPartitions())
 	for _, p := range paths {
 		if prev, err := os.Open(p); err == nil {
 			header := make([]byte, 8)
@@ -1274,7 +1208,10 @@ func (s *Server) snapshotPartitioned(sn *Snapshot, path string) (any, error) {
 		}
 	}
 	start := time.Now()
-	if err := sn.SaveSlices(paths); err != nil {
+	if err := sn.checkpoint(paths); err != nil {
+		if errors.Is(err, fs.ErrNotExist) || errors.Is(err, fs.ErrPermission) {
+			return nil, badRequest("snapshot: %v", err)
+		}
 		return nil, fmt.Errorf("snapshot: %v", err)
 	}
 	var bytes int64
@@ -1287,19 +1224,19 @@ func (s *Server) snapshotPartitioned(sn *Snapshot, path string) (any, error) {
 	actions := sn.Dataset().Log.NumActions()
 	s.checkpointMu.Lock()
 	s.lastCheckpoint = &CheckpointInfo{
-		Path:      path,
+		Path:      req.Path,
 		Snapshot:  sn.ID,
 		Actions:   actions,
 		Bytes:     bytes,
 		WrittenAt: time.Now(),
 	}
 	s.checkpointMu.Unlock()
-	s.logf("serve: wrote %d snapshot slices for %s (%d actions, %d bytes), %.0f ms",
-		len(paths), path, actions, bytes, float64(elapsed.Milliseconds()))
+	s.logf("serve: wrote snapshot %d to %s (%d files, %d actions, %d bytes), %.0f ms",
+		sn.ID, req.Path, len(paths), actions, bytes, float64(elapsed.Milliseconds()))
 	return SnapshotResponse{
 		Snapshot:    sn.ID,
 		Dataset:     sn.Dataset().Name,
-		Path:        path,
+		Path:        req.Path,
 		Actions:     actions,
 		Users:       sn.NumUsers(),
 		Entries:     sn.Entries(),

@@ -23,7 +23,6 @@ import (
 
 	"credist"
 	"credist/internal/celf"
-	"credist/internal/seedsel"
 )
 
 // Source specifies where a snapshot's dataset and model parameters come
@@ -79,8 +78,8 @@ type Source struct {
 	// Mmap is set — on every start after.
 	Partitions int `json:"partitions,omitempty"`
 	// SlicePaths serves directly from explicitly named snapshot-slice
-	// files (as written by Model.WriteSnapshotSlice or a partitioned POST
-	// /snapshot), bypassing the full model file entirely. The slices must
+	// files (as written by PartitionedPlanner.SaveSlices or a partitioned
+	// POST /snapshot), bypassing the full model file entirely. The slices must
 	// tile the user universe exactly; overlaps and gaps are rejected
 	// naming the offending row ranges.
 	SlicePaths []string `json:"slices,omitempty"`
@@ -193,7 +192,7 @@ func (p *seedPrefix) result(k int) *SeedsResult {
 
 // newSeedPrefix copies a selection trace into a publishable prefix,
 // precomputing the per-prefix spread table.
-func newSeedPrefix(res seedsel.Result, exhausted bool) *seedPrefix {
+func newSeedPrefix(res celf.Result, exhausted bool) *seedPrefix {
 	p := &seedPrefix{
 		seeds:     append([]credist.NodeID(nil), res.Seeds...),
 		gains:     append([]float64(nil), res.Gains...),
@@ -366,7 +365,7 @@ func Build(src Source) (*Snapshot, error) {
 	// published immediately: /seeds?k up to its length is served with zero
 	// CELF work from the first request on.
 	if pfx := model.SeedPrefix(); pfx != nil && len(pfx.Seeds) > 0 {
-		sn.prefix.Store(newSeedPrefix(seedsel.Result{
+		sn.prefix.Store(newSeedPrefix(celf.Result{
 			Seeds:     pfx.Seeds,
 			Gains:     pfx.Gains,
 			LookupsAt: pfx.LookupsAt,
@@ -493,17 +492,15 @@ func (sn *Snapshot) Ingest(tuples []credist.Tuple, compact bool) (*Snapshot, err
 	return next, nil
 }
 
-// SaveSlices checkpoints the partitioned model as one snapshot-slice file
-// per partition, carrying the published seed prefix so a restart serves
-// /seeds instantly. Only valid on a healthy partitioned snapshot.
-func (sn *Snapshot) SaveSlices(paths []string) error {
-	if err := sn.partitionGate(); err != nil {
-		return err
+// checkpoint writes the snapshot's live state to paths, each file
+// atomically, carrying the published seed prefix so a restart serves
+// /seeds up to the same k instantly: one whole-model file for an
+// unpartitioned snapshot, one slice per partition otherwise.
+func (sn *Snapshot) checkpoint(paths []string) error {
+	if sn.Partitioned() {
+		return sn.parts.SaveSlices(sn.model, sn.checkpointPrefix(), paths)
 	}
-	if !sn.Partitioned() {
-		return fmt.Errorf("not a partitioned snapshot")
-	}
-	return sn.parts.SaveSlices(sn.model, sn.checkpointPrefix(), paths)
+	return sn.parts.Save(sn.model, sn.checkpointPrefix(), paths[0])
 }
 
 // Dataset returns the snapshot's dataset.
@@ -821,8 +818,7 @@ func (sn *Snapshot) SeedPrefixLen() int {
 }
 
 // checkpointPrefix returns the published seed prefix in the facade's
-// persistence form, or nil. POST /snapshot passes it to WriteSnapshot so
-// a restart serves /seeds up to the same k instantly.
+// persistence form, or nil.
 func (sn *Snapshot) checkpointPrefix() *credist.SeedPrefix {
 	pv := sn.prefix.Load()
 	if pv == nil || len(pv.seeds) == 0 {

@@ -11,7 +11,6 @@ import (
 	"credist/internal/celf"
 	"credist/internal/core"
 	"credist/internal/graph"
-	"credist/internal/seedsel"
 )
 
 // Options configures model learning.
@@ -220,9 +219,9 @@ func (m *Model) SelectSeeds(k int) ([]NodeID, []float64) {
 
 // Selection runs seed selection and returns the full trace (seeds, gains,
 // per-seed timing, and the number of marginal-gain evaluations).
-func (m *Model) Selection(k int) seedsel.Result { return m.selection(k) }
+func (m *Model) Selection(k int) celf.Result { return m.selection(k) }
 
-func (m *Model) selection(k int) seedsel.Result {
+func (m *Model) selection(k int) celf.Result {
 	return m.NewPlanner().Select(k)
 }
 
@@ -232,7 +231,7 @@ func (m *Model) selection(k int) seedsel.Result {
 // committed. A prefix attached to a model is persisted by Save and
 // restored by LoadModel, so a restarted process serves seed queries up to
 // the stored length without running selection at all; any smaller k is a
-// slice of the arrays. Like NodeID and seedsel.Result, it is an alias of
+// slice of the arrays. Like NodeID and celf.Result, it is an alias of
 // the one shared representation, so no conversions happen at package
 // boundaries.
 type SeedPrefix = core.SeedPrefix
@@ -245,7 +244,7 @@ func (m *Model) SeedPrefix() *SeedPrefix { return m.prefix }
 // GrowableSelection's Grow) to the model so Save persists it. The trace
 // must come from this model — recording a foreign selection would persist
 // seeds the restored model never chose.
-func (m *Model) RecordSeedPrefix(res seedsel.Result) {
+func (m *Model) RecordSeedPrefix(res celf.Result) {
 	m.prefix = &SeedPrefix{
 		Seeds:     append([]NodeID(nil), res.Seeds...),
 		Gains:     append([]float64(nil), res.Gains...),
@@ -263,35 +262,10 @@ type GrowableSelection struct {
 	sel *celf.Selection
 }
 
-// NewSelection starts an empty growable selection over a fresh planner
-// clone of the model's scanned engine.
-func (m *Model) NewSelection() *GrowableSelection {
-	p := m.NewPlanner()
-	return &GrowableSelection{sel: celf.NewSelection(p.eng, celf.Options{Workers: p.eng.Workers()})}
-}
-
-// ResumeSelection rebuilds a growable selection from a previously
-// computed prefix (typically the model's own restored SeedPrefix; nil
-// starts fresh): the prefix seeds are committed without any gain
-// evaluations, and the first Grow past the prefix pays one fresh gain
-// pass to rebuild the heap. Seeds and gains of the continuation are
-// bit-identical to a continuous run.
-func (m *Model) ResumeSelection(prefix *SeedPrefix) (*GrowableSelection, error) {
-	if prefix == nil {
-		return m.NewSelection(), nil
-	}
-	p := m.NewPlanner()
-	sel, err := celf.Resume(p.eng, *prefix, celf.Options{Workers: p.eng.Workers()})
-	if err != nil {
-		return nil, err
-	}
-	return &GrowableSelection{sel: sel}, nil
-}
-
 // Grow extends the selection to at most k seeds and returns the full
 // accumulated trace (slicing it to any length <= Len yields that prefix's
 // selection). Growing to a k at or below the current length does no work.
-func (s *GrowableSelection) Grow(k int) seedsel.Result { return s.sel.Grow(k) }
+func (s *GrowableSelection) Grow(k int) celf.Result { return s.sel.Grow(k) }
 
 // Len returns the number of committed seeds.
 func (s *GrowableSelection) Len() int { return s.sel.Len() }
@@ -344,7 +318,7 @@ func (p *Planner) Seeds() []NodeID { return p.eng.Seeds() }
 // engine's configured workers, with bit-identical seeds and gains at any
 // worker count — and returns the selection trace. It mutates the planner;
 // use Clone first to keep the receiver reusable.
-func (p *Planner) Select(k int) seedsel.Result {
+func (p *Planner) Select(k int) celf.Result {
 	return celf.Run(p.eng, k, celf.Options{Workers: p.eng.Workers()})
 }
 
@@ -417,32 +391,29 @@ func Initiators(ds *Dataset, a ActionID) []NodeID {
 // HighDegreeSeeds returns the k highest out-degree users, the High Degree
 // baseline of the paper's "Spread Achieved" experiment.
 func HighDegreeSeeds(ds *Dataset, k int) []NodeID {
-	return seedsel.HighDegree(ds.Graph, k)
+	return graph.HighDegree(ds.Graph, k)
 }
 
 // PageRankSeeds returns the k top users by PageRank on the reversed graph,
 // the paper's PageRank baseline.
 func PageRankSeeds(ds *Dataset, k int) []NodeID {
-	return seedsel.PageRankSeeds(ds.Graph, k, graph.PageRankOptions{})
+	return graph.PageRankSeeds(ds.Graph, k, graph.PageRankOptions{})
 }
 
 // SaveParams writes the model's learned parameters (time-aware credit
 // only; the simple rule has none) so a model fitted once can be restored
-// with LoadModel without re-learning.
+// with LoadModel without re-learning. Like every file the package writes,
+// it goes to a temp file renamed into place, so a crash mid-write leaves
+// the previous file intact.
 func (m *Model) SaveParams(path string) error {
 	ta, ok := m.credit.(*core.TimeAwareCredit)
 	if !ok {
 		return fmt.Errorf("credist: simple-credit models have no parameters to save")
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("credist: create params file: %w", err)
+	if err := writeFileAtomic(path, func(w io.Writer) error { return core.WriteTimeAware(w, ta) }); err != nil {
+		return fmt.Errorf("credist: write params file %s: %w", path, err)
 	}
-	if err := core.WriteTimeAware(f, ta); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return nil
 }
 
 // Save writes the model as a durable binary snapshot: learned parameters
@@ -452,51 +423,29 @@ func (m *Model) SaveParams(path string) error {
 // restarted with LoadModel against the same (or a grown) dataset skips
 // both learning and the log scan — cold start becomes a file read plus an
 // append of only the unscanned tail. Saving forces the model's one-time
-// scan if it has not happened yet.
+// scan if it has not happened yet. The file is written to a temp file and
+// renamed into place, so a crash mid-write leaves the previous file
+// intact, and a model memory-mapped from the same path (LoadModelMapped)
+// keeps reading the file it opened.
 func (m *Model) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("credist: create snapshot file: %w", err)
-	}
-	if err := m.WriteSnapshot(f, nil, m.prefix); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return m.saveEngine(path, m.base(), core.SnapshotParts{Prefix: m.prefix})
 }
 
-// WriteSnapshot streams the binary snapshot to w. pp selects the scanned
-// state to serialize — it must hold one full engine (a one-engine
-// coordinator, as a serving layer keeps for an unpartitioned model)
-// belonging to this model's lineage (same credit parameters and
-// truncation threshold) and covering exactly the model's log; nil uses
-// the model's own base scan. Passing the serving planner is how a server
-// checkpoints its live (possibly ingest-extended) state without a second
-// scan. prefix, if non-nil, is the computed seed prefix to persist
-// alongside the engine — it must have been selected against exactly the
-// state being written (this model's parameters over the planner's log),
-// or a restart would serve seeds the restored model never chose.
-func (m *Model) WriteSnapshot(w io.Writer, pp *PartitionedPlanner, prefix *SeedPrefix) error {
-	var eng *core.Engine
-	if pp == nil {
-		eng = m.base()
-	} else {
-		engines := pp.coord.Engines()
-		if len(engines) != 1 {
-			return fmt.Errorf("credist: planner holds %d partitions, a full snapshot needs one engine (write slices with SaveSlices)", len(engines))
-		}
-		if err := m.checkLineage(engines[0]); err != nil {
-			return err
-		}
-		eng = engines[0]
+// saveEngine writes eng — the model's base, or an engine of a coordinator
+// serving the model — with the given parts to path atomically, stamped
+// with the model's lineage. A whole-model file also carries the RR sketch
+// and provenance index whenever the model's tiers hold one: both are
+// derived over exactly the model's log, the log the lineage describes (a
+// file without them stays version 3, byte-identical to older releases).
+func (m *Model) saveEngine(path string, eng *core.Engine, parts core.SnapshotParts) error {
+	parts.Lineage = core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log)
+	if parts.Slice == nil {
+		parts.Sketch, parts.Prov = m.approxSketch(), m.provForSave()
 	}
-	// The RR sketch and provenance index ride along whenever their tiers
-	// hold one: both are derived over exactly the model's log, and the
-	// lineage written here is that same log's, so sections attached to
-	// this model are always consistent with the snapshot (the version
-	// stays 3 when there is no section, keeping sectionless files
-	// byte-identical).
-	return eng.WriteSnapshotProv(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, m.approxSketch(), m.provForSave())
+	if err := writeFileAtomic(path, func(w io.Writer) error { return eng.WriteSnapshot(w, parts) }); err != nil {
+		return fmt.Errorf("credist: write snapshot %s: %w", path, err)
+	}
+	return nil
 }
 
 // checkLineage rejects a scanned engine that does not belong to this
@@ -546,7 +495,11 @@ func LoadModel(ds *Dataset, path string, opts Options) (*Model, error) {
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<20)
 	if header, err := br.Peek(8); err == nil && core.IsSnapshotHeader(header) {
-		return loadSnapshotModel(ds, br, opts)
+		eng, parts, err := core.ReadSnapshot(br)
+		if err != nil {
+			return nil, err
+		}
+		return bindSnapshots(ds, opts, []*core.Engine{eng}, []core.SnapshotParts{parts}, nil)
 	}
 	credit, err := core.ReadTimeAware(br)
 	if err != nil {
@@ -574,11 +527,11 @@ func LoadModel(ds *Dataset, path string, opts Options) (*Model, error) {
 // The caller owns the mapping's lifetime: Close the model only after all
 // planners derived from it are gone.
 func LoadModelMapped(ds *Dataset, path string, opts Options) (*Model, error) {
-	eng, lin, prefix, sketch, prov, ms, err := core.OpenSnapshotMappedProv(path)
+	eng, parts, ms, err := core.OpenSnapshotMapped(path)
 	if err != nil {
 		return nil, err
 	}
-	m, err := bindSnapshotModel(ds, eng, lin, prefix, sketch, prov, opts)
+	m, err := bindSnapshots(ds, opts, []*core.Engine{eng}, []core.SnapshotParts{parts}, nil)
 	if err != nil {
 		ms.Close()
 		return nil, err
@@ -587,23 +540,37 @@ func LoadModelMapped(ds *Dataset, path string, opts Options) (*Model, error) {
 	return m, nil
 }
 
-// loadSnapshotModel binds a heap-parsed binary snapshot to ds.
-func loadSnapshotModel(ds *Dataset, r io.Reader, opts Options) (*Model, error) {
-	eng, lin, prefix, sketch, prov, err := core.ReadSnapshotProv(r)
-	if err != nil {
-		return nil, err
+// bindSnapshots finishes every snapshot load: one whole-model file
+// (LoadModel, LoadModelMapped; paths nil) or a set of slices (LoadPartitions;
+// paths[i] names the file engines[i] and parts[i] came from, and labels
+// its errors). Every file is lineage-checked against the dataset; the
+// slices must agree on the scanned action count, options, and seed
+// prefix; the stored options are resolved against opts; and a log that
+// has grown past the files' scan is appended to every engine, dropping
+// the stored seed prefix, RR sketch, and provenance index, which no longer
+// describe the model. The engines come back frozen. A whole-model load's
+// engine becomes the model's base, restored sections included; a
+// partitioned model keeps only the prefix and builds no base of its own.
+func bindSnapshots(ds *Dataset, opts Options, engines []*core.Engine, parts []core.SnapshotParts, paths []string) (*Model, error) {
+	label := func(i int, err error) error {
+		if paths == nil {
+			return err
+		}
+		return fmt.Errorf("credist: partition %d (%s): %w", i, paths[i], err)
 	}
-	return bindSnapshotModel(ds, eng, lin, prefix, sketch, prov, opts)
-}
-
-// bindSnapshotModel finishes a snapshot load regardless of backend:
-// lineage check, options resolution, and the tail append for a log that
-// has grown past the snapshot's scanned prefix.
-func bindSnapshotModel(ds *Dataset, eng *core.Engine, lin core.Lineage, prefix *SeedPrefix, sketch *core.RRSketch, prov *core.ProvIndex, opts Options) (*Model, error) {
-	if err := lin.Check(ds.Graph, ds.Log); err != nil {
-		return nil, err
+	if rows := parts[0].Slice; paths == nil && rows != nil {
+		return nil, fmt.Errorf("credist: snapshot is a partition slice holding rows [%d,%d); open slices with LoadPartitions", rows.Lo, rows.Hi)
 	}
-	credit := eng.CreditModel()
+	scanned := parts[0].Lineage.NumActions
+	for i, p := range parts {
+		if err := p.Lineage.Check(ds.Graph, ds.Log); err != nil {
+			return nil, label(i, err)
+		}
+		if p.Lineage.NumActions != scanned {
+			return nil, label(i, fmt.Errorf("slice covers %d actions, slice 0 (%s) covers %d", p.Lineage.NumActions, paths[0], scanned))
+		}
+	}
+	credit := engines[0].CreditModel()
 	// The graph hash matched, so a snapshot learned on this graph covers
 	// every node; a crafted file that passed its CRC but shrank the
 	// parameter table must still be refused before Gamma can index past it.
@@ -611,32 +578,52 @@ func bindSnapshotModel(ds *Dataset, eng *core.Engine, lin core.Lineage, prefix *
 		return nil, fmt.Errorf("credist: snapshot parameters cover %d users, graph has %d nodes", ta.UniverseSize(), ds.Graph.NumNodes())
 	}
 	_, simple := credit.(core.SimpleCredit)
-	stored := Options{Lambda: eng.Lambda(), SimpleCredit: simple}
+	stored := Options{Lambda: engines[0].Lambda(), SimpleCredit: simple}
 	if opts != (Options{}) && opts != stored {
 		return nil, fmt.Errorf("credist: snapshot was saved with options %+v, load requested %+v (pass the zero Options to adopt the stored ones)", stored, opts)
 	}
-	if ds.Log.NumActions() > lin.NumActions {
-		if err := eng.AppendActions(ds.Graph, ds.Log, ActionID(lin.NumActions)); err != nil {
-			return nil, err
+	prefix := parts[0].Prefix
+	for i, eng := range engines[1:] {
+		_, si := eng.CreditModel().(core.SimpleCredit)
+		if eng.Lambda() != stored.Lambda || si != simple {
+			return nil, fmt.Errorf("credist: partition %d (%s) was saved with options {Lambda:%g SimpleCredit:%t}, slice 0 with %+v",
+				i+1, paths[i+1], eng.Lambda(), si, stored)
 		}
-		// The stored seed prefix was selected over the snapshot's log
-		// prefix; appended actions change every marginal gain, so it no
-		// longer describes this model and is dropped. The RR sketch falls
-		// for the same reason (its walks sampled the old log's DAGs), and
-		// the provenance index too: the tail adds credit cells it never
-		// indexed.
-		prefix = nil
-		sketch = nil
-		prov = nil
+		// Every slice of one save carries the same prefix; a disagreement
+		// means the files come from different checkpoints and must not be
+		// mixed.
+		if !samePrefix(prefix, parts[i+1].Prefix) {
+			return nil, fmt.Errorf("credist: partition %d (%s) stores a different seed prefix than slice 0 (%s); the slices come from different checkpoints",
+				i+1, paths[i+1], paths[0])
+		}
+	}
+	sketch, prov := parts[0].Sketch, parts[0].Prov
+	if ds.Log.NumActions() > scanned {
+		for i, eng := range engines {
+			if err := eng.AppendActions(ds.Graph, ds.Log, ActionID(scanned)); err != nil {
+				return nil, label(i, err)
+			}
+		}
+		// The stored seed prefix was selected over the files' log prefix;
+		// appended actions change every marginal gain, so it no longer
+		// describes this model. The RR sketch falls for the same reason
+		// (its walks sampled the old log's DAGs), and the provenance index
+		// too: the tail adds credit cells it never indexed.
+		prefix, sketch, prov = nil, nil, nil
 	}
 	// Freeze rather than Compact: clones share everything either way, and
 	// keeping the delta accounting lets callers (and /stats) see how much
 	// of the engine came from the post-snapshot tail.
-	eng.Freeze()
+	for _, eng := range engines {
+		eng.Freeze()
+	}
 	m := newModel(ds, stored, credit)
-	m.base = func() *core.Engine { return eng }
 	m.prefix = prefix
-	m.approx.restored = sketch
-	m.prov.restored = prov
+	if paths == nil {
+		eng := engines[0]
+		m.base = func() *core.Engine { return eng }
+		m.approx.restored = sketch
+		m.prov.restored = prov
+	}
 	return m, nil
 }

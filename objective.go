@@ -7,7 +7,6 @@ import (
 
 	"credist/internal/celf"
 	"credist/internal/core"
-	"credist/internal/seedsel"
 )
 
 // Objective describes a campaign-shaped query against a model: who counts
@@ -241,10 +240,10 @@ func singletonGains(engines []*core.Engine) []float64 {
 // objective is exactly Selection, bit for bit; non-default selections
 // run on the model's one-engine coordinator and are bit-identical at
 // every worker and partition count.
-func (m *Model) SelectSeedsObj(k int, o *Objective) (seedsel.Result, error) {
+func (m *Model) SelectSeedsObj(k int, o *Objective) (celf.Result, error) {
 	cobj, err := m.coreObjective(o, true)
 	if err != nil {
-		return seedsel.Result{}, err
+		return celf.Result{}, err
 	}
 	if o.IsDefault() {
 		return m.selection(k), nil
@@ -291,10 +290,10 @@ func (pp *PartitionedPlanner) GainsObj(m *Model, base, candidates []NodeID, o *O
 // partition count. Unlike Model.SelectSeedsObj it does not route the
 // default objective anywhere special, because its caller (the serving
 // layer) routes default requests to its memoized growable selection.
-func (pp *PartitionedPlanner) SelectSeedsObj(m *Model, k int, o *Objective) (seedsel.Result, error) {
+func (pp *PartitionedPlanner) SelectSeedsObj(m *Model, k int, o *Objective) (celf.Result, error) {
 	cobj, err := m.coreObjective(o, true)
 	if err != nil {
-		return seedsel.Result{}, err
+		return celf.Result{}, err
 	}
 	return pp.selectObj(cobj, o, k), nil
 }
@@ -302,7 +301,7 @@ func (pp *PartitionedPlanner) SelectSeedsObj(m *Model, k int, o *Objective) (see
 // selectObj runs the one-shot selection for a validated objective, seeding
 // rival-only runs (default pricing, no budget) with the planner's
 // singleton-gain bounds.
-func (pp *PartitionedPlanner) selectObj(cobj *core.Objective, o *Objective, k int) seedsel.Result {
+func (pp *PartitionedPlanner) selectObj(cobj *core.Objective, o *Objective, k int) celf.Result {
 	var opts celf.Options
 	if o != nil {
 		opts = celf.Options{Costs: o.Costs, Budget: o.Budget, Blocked: o.Blocked}

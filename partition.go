@@ -93,24 +93,6 @@ func wrapEngine(eng *core.Engine) *PartitionedPlanner {
 	return &PartitionedPlanner{coord: coord}
 }
 
-// WriteSnapshotSlice streams the influencer rows in [lo, hi) of the
-// model's scanned engine (or of p, under WriteSnapshot's lineage rules) as
-// a version-4 snapshot slice. A contiguous set of slices tiling
-// [0, NumUsers) reassembles the model exactly; LoadPartitions validates
-// the tiling at load. The prefix rides in every slice, as in WriteSnapshot.
-func (m *Model) WriteSnapshotSlice(w io.Writer, p *Planner, prefix *SeedPrefix, lo, hi int) error {
-	var eng *core.Engine
-	if p == nil {
-		eng = m.base()
-	} else {
-		if err := m.checkLineage(p.eng); err != nil {
-			return err
-		}
-		eng = p.eng
-	}
-	return eng.WriteSnapshotSlice(w, core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log), prefix, lo, hi)
-}
-
 // LoadPartitions restores a partitioned model from snapshot-slice files:
 // each slice is loaded (memory-mapped when mmap is set), lineage-checked
 // against the dataset, and the set is validated to tile the user universe
@@ -132,96 +114,46 @@ func LoadPartitions(ds *Dataset, paths []string, mmap bool, opts Options) (*Mode
 		}
 	}
 	engines := make([]*core.Engine, len(paths))
-	lineages := make([]core.Lineage, len(paths))
-	prefixes := make([]*SeedPrefix, len(paths))
+	parts := make([]core.SnapshotParts, len(paths))
 	for i, path := range paths {
 		var err error
 		if mmap {
 			var ms *core.MappedSnapshot
-			engines[i], lineages[i], prefixes[i], ms, err = core.OpenSnapshotMapped(path)
+			engines[i], parts[i], ms, err = core.OpenSnapshotMapped(path)
 			if err == nil {
 				mapped = append(mapped, ms)
 			}
 		} else {
 			var f *os.File
 			if f, err = os.Open(path); err == nil {
-				engines[i], lineages[i], prefixes[i], err = core.ReadSnapshotPrefix(bufio.NewReaderSize(f, 1<<20))
+				engines[i], parts[i], err = core.ReadSnapshot(bufio.NewReaderSize(f, 1<<20))
 				f.Close()
 			}
-		}
-		if err == nil {
-			err = lineages[i].Check(ds.Graph, ds.Log)
-		}
-		if err == nil && lineages[i].NumActions != lineages[0].NumActions {
-			err = fmt.Errorf("slice covers %d actions, slice 0 (%s) covers %d",
-				lineages[i].NumActions, paths[0], lineages[0].NumActions)
 		}
 		if err != nil {
 			closeMapped()
 			return nil, nil, fmt.Errorf("credist: partition %d (%s): %w", i, path, err)
 		}
 	}
-
-	credit := engines[0].CreditModel()
-	if ta, ok := credit.(*core.TimeAwareCredit); ok && ta.UniverseSize() < ds.Graph.NumNodes() {
-		closeMapped()
-		return nil, nil, fmt.Errorf("credist: slice parameters cover %d users, graph has %d nodes", ta.UniverseSize(), ds.Graph.NumNodes())
+	m, err := bindSnapshots(ds, opts, engines, parts, paths)
+	var coord *partition.Coordinator
+	if err == nil {
+		coord, err = partition.New(engines, engines[0].Workers())
 	}
-	_, simple := credit.(core.SimpleCredit)
-	stored := Options{Lambda: engines[0].Lambda(), SimpleCredit: simple}
-	if opts != (Options{}) && opts != stored {
-		closeMapped()
-		return nil, nil, fmt.Errorf("credist: slices were saved with options %+v, load requested %+v (pass the zero Options to adopt the stored ones)", stored, opts)
-	}
-	for i, eng := range engines[1:] {
-		_, si := eng.CreditModel().(core.SimpleCredit)
-		if eng.Lambda() != stored.Lambda || si != simple {
-			closeMapped()
-			return nil, nil, fmt.Errorf("credist: partition %d (%s) was saved with options {Lambda:%g SimpleCredit:%t}, slice 0 with %+v",
-				i+1, paths[i+1], eng.Lambda(), si, stored)
-		}
-	}
-
-	// Every slice of one save carries the same prefix; a disagreement means
-	// the files come from different checkpoints and must not be mixed.
-	prefix := prefixes[0]
-	for i, pfx := range prefixes[1:] {
-		if !samePrefix(prefix, pfx) {
-			closeMapped()
-			return nil, nil, fmt.Errorf("credist: partition %d (%s) stores a different seed prefix than slice 0 (%s); the slices come from different checkpoints",
-				i+1, paths[i+1], paths[0])
-		}
-	}
-	if ds.Log.NumActions() > lineages[0].NumActions {
-		for i, eng := range engines {
-			if err := eng.AppendActions(ds.Graph, ds.Log, ActionID(lineages[0].NumActions)); err != nil {
-				closeMapped()
-				return nil, nil, fmt.Errorf("credist: partition %d (%s): %w", i, paths[i], err)
-			}
-		}
-		// Selected over the slices' log prefix; appended actions change
-		// every marginal gain, so it no longer describes this model.
-		prefix = nil
-	}
-	for _, eng := range engines {
-		eng.Freeze()
-	}
-	coord, err := partition.New(engines, engines[0].Workers())
 	if err != nil {
 		closeMapped()
 		return nil, nil, err
 	}
-	m := newModel(ds, stored, credit)
-	m.prefix = prefix
 	return m, &PartitionedPlanner{coord: coord, mapped: mapped}, nil
 }
 
 // LoadModelPartitioned opens modelPath as n partitions: when the canonical
 // slice files (SlicePaths) already sit next to the model they are opened
 // directly — the full snapshot is never touched, and with mmap no row is
-// parsed — otherwise the full snapshot is heap-loaded once, the slices are
-// written (atomically, temp file + rename), and the load proceeds from
-// them. The returned paths name the slice files in partition order.
+// parsed — otherwise the full snapshot is heap-loaded once, split with
+// Partition, the slices are written with SaveSlices, and the load
+// proceeds from them. The returned paths name the slice files in
+// partition order.
 func LoadModelPartitioned(ds *Dataset, modelPath string, n int, mmap bool, opts Options) (*Model, *PartitionedPlanner, []string, error) {
 	if n < 1 {
 		n = 1
@@ -239,14 +171,12 @@ func LoadModelPartitioned(ds *Dataset, modelPath string, n int, mmap bool, opts 
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		ranges := partition.SplitRanges(ds.Graph.NumNodes(), n)
-		for i, r := range ranges {
-			err := writeFileAtomic(paths[i], func(w io.Writer) error {
-				return conv.WriteSnapshotSlice(w, nil, conv.prefix, r.Lo, r.Hi)
-			})
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("credist: write slice %s: %w", paths[i], err)
-			}
+		split, err := conv.NewPlanner().Partition(n)
+		if err == nil {
+			err = split.SaveSlices(conv, conv.prefix, paths)
+		}
+		if err != nil {
+			return nil, nil, nil, err
 		}
 		// conv (and its full heap engine) is dropped here; the model served
 		// from is rebuilt from the slices so nothing retains the full copy.
@@ -276,7 +206,7 @@ func LoadModelPartitioned(ds *Dataset, modelPath string, n int, mmap bool, opts 
 // the sketch, and a model file older than re-checkpointed slices sampled
 // a log the partitions no longer serve).
 func readSnapshotSketch(path string, ds *Dataset, numActions int) *core.RRSketch {
-	_, lin, _, sketch, ms, err := core.OpenSnapshotMappedSketch(path)
+	_, parts, ms, err := core.OpenSnapshotMapped(path)
 	if err != nil {
 		return nil
 	}
@@ -284,17 +214,41 @@ func readSnapshotSketch(path string, ds *Dataset, numActions int) *core.RRSketch
 	// alias the mapping), so the mapping can close before the sketch is
 	// used.
 	ms.Close()
-	if sketch == nil || lin.NumActions != numActions || lin.Check(ds.Graph, ds.Log) != nil {
+	lin := parts.Lineage
+	if parts.Sketch == nil || lin.NumActions != numActions || lin.Check(ds.Graph, ds.Log) != nil {
 		return nil
 	}
-	return sketch
+	return parts.Sketch
+}
+
+// Save checkpoints the planner's state as one whole-model snapshot file at
+// path, written to a temp file and renamed into place. The planner must
+// hold one full engine (a one-engine coordinator, as a serving layer keeps
+// for an unpartitioned model) belonging to m's lineage (same credit
+// parameters and truncation threshold) and covering exactly m's log; it is
+// how a server checkpoints its live, possibly ingest-extended, state
+// without a second scan. prefix, if non-nil, is the computed seed prefix
+// to persist alongside — it must have been selected against exactly this
+// state, or a restart would serve seeds the restored model never chose.
+// The model's RR sketch and provenance index ride along as in Model.Save.
+func (pp *PartitionedPlanner) Save(m *Model, prefix *SeedPrefix, path string) error {
+	engines := pp.coord.Engines()
+	if len(engines) != 1 {
+		return fmt.Errorf("credist: planner holds %d partitions, a full snapshot needs one engine (write slices with SaveSlices)", len(engines))
+	}
+	if err := m.checkLineage(engines[0]); err != nil {
+		return err
+	}
+	return m.saveEngine(path, engines[0], core.SnapshotParts{Prefix: prefix})
 }
 
 // SaveSlices checkpoints the planner's partitions as snapshot-slice files,
 // one per partition in partition order, each written to a temp file and
 // renamed into place. The partitions must cover exactly the model's log
-// (the usual WriteSnapshot planner rule); prefix, if non-nil, rides in
-// every slice so a restart from them resumes seed selection.
+// (the rule Save applies); prefix, if non-nil, rides in every slice so a
+// restart from them resumes seed selection. A contiguous set of slices
+// tiling [0, NumUsers) reassembles the model exactly; LoadPartitions
+// validates the tiling at load.
 func (pp *PartitionedPlanner) SaveSlices(m *Model, prefix *SeedPrefix, paths []string) error {
 	engines := pp.coord.Engines()
 	if len(paths) != len(engines) {
@@ -303,14 +257,10 @@ func (pp *PartitionedPlanner) SaveSlices(m *Model, prefix *SeedPrefix, paths []s
 	if err := m.checkLineage(engines[0]); err != nil {
 		return err
 	}
-	lin := core.DatasetLineage(m.ds.Name, m.ds.Graph, m.ds.Log)
 	for i, eng := range engines {
 		lo, hi := eng.PartitionRange()
-		err := writeFileAtomic(paths[i], func(w io.Writer) error {
-			return eng.WriteSnapshotSlice(w, lin, prefix, lo, hi)
-		})
-		if err != nil {
-			return fmt.Errorf("credist: write slice %s: %w", paths[i], err)
+		if err := m.saveEngine(paths[i], eng, core.SnapshotParts{Prefix: prefix, Slice: &core.RowRange{Lo: lo, Hi: hi}}); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -335,7 +285,11 @@ func samePrefix(a, b *SeedPrefix) bool {
 
 // writeFileAtomic writes via a uniquely named temp file in the target
 // directory and renames it into place, so a crash mid-write never leaves a
-// truncated file at the path.
+// truncated file at the path, and a reader that opened or mapped the old
+// file keeps its bytes. Every file the package writes goes through it.
+// The temp file, created 0600, gets mode 0644 before the rename: what
+// os.Create yields under the usual umask, so files keep the mode they had
+// when they were written in place.
 func writeFileAtomic(path string, write func(io.Writer) error) error {
 	dir, base := filepath.Split(path)
 	if dir == "" {
@@ -346,6 +300,11 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 		return err
 	}
 	tmp := f.Name()
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
 	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)

@@ -39,9 +39,14 @@ func TestSeedPrefixSaveLoadCycle(t *testing.T) {
 		}
 	}
 
-	// Resuming the restored prefix and growing continues the selection
-	// exactly where a from-scratch run would be.
-	sel, err := loaded.ResumeSelection(p)
+	// Resuming the restored prefix on the loaded model's one-engine
+	// coordinator — the path serving takes — and growing continues the
+	// selection exactly where a from-scratch run would be.
+	coord, err := loaded.NewPlanner().Partition(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := coord.ResumeSelection(p)
 	if err != nil {
 		t.Fatalf("ResumeSelection: %v", err)
 	}
